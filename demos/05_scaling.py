@@ -35,4 +35,7 @@ for n in (500, 1000, 2000, 4000):
     print(f"{n:>6} {t_con * 1e3:>10.2f}ms {t_ver * 1e3:>10.2f}ms{note}")
     prev = (t_con, t_ver)
 
-print("\nsame sweep via the CLI: circrob bench --sizes 500,1000,2000,4000")
+print(
+    "\nend-to-end and per-layer timings of the CLI (see perfbench/README.md):"
+    "\n  python3 perfbench/run.py --workload circle-shuffled --seed 1 --seconds 12"
+)

@@ -11,12 +11,10 @@ from .core import (
     Arc,
     CircularOrder,
     DissimilarityMatrix,
-    FarthestData,
     MatrixFormatError,
     arc_between,
     canonicalize,
     chain_holds,
-    farthest_data,
     farthest_set,
     load_matrix,
 )
@@ -67,7 +65,6 @@ __all__ = [
     "ClassificationReport",
     "CrossingWitness",
     "DissimilarityMatrix",
-    "FarthestData",
     "GenerationError",
     "GeneratorSpec",
     "MatrixFormatError",
@@ -88,7 +85,6 @@ __all__ = [
     "cr",
     "crossing_violation",
     "enumerate_circular_orders",
-    "farthest_data",
     "farthest_set",
     "find_compatible_order",
     "is_linear_robinson",

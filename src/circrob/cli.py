@@ -1,4 +1,4 @@
-"""Command-line interface: recognize, verify, oracle, generate, bench.
+"""Command-line interface: recognize, verify, oracle, generate.
 
 Exit codes: 0 when the requested property holds, 1 when it does not, 2 on
 input or usage errors.
@@ -8,10 +8,9 @@ from __future__ import annotations
 
 import argparse
 import json
-import statistics
 import sys
-import time
 from pathlib import Path
+from typing import Optional
 
 from .core import DissimilarityMatrix, MatrixFormatError, canonicalize, load_matrix
 from .generators import (
@@ -23,7 +22,7 @@ from .generators import (
     two_cluster_instance,
 )
 from .oracle import MAX_CLASSIFY_N, oracle_classify
-from .recognition import compatible_orders, find_compatible_order
+from .recognition import compatible_orders
 from .verification import verify
 
 _CLASSES = ("quasi", "strict-quasi", "circular", "strict-circular")
@@ -47,15 +46,19 @@ def _print(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str, eps: float) -> DissimilarityMatrix:
-    return load_matrix(Path(path).read_text(), eps=eps)
+def _load(path: str, eps: float) -> Optional[DissimilarityMatrix]:
+    """The matrix in the file, or None after printing why it cannot be read;
+    the caller then exits with 2."""
+    try:
+        return load_matrix(Path(path).read_text(), eps=eps)
+    except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
 
 
 def _cmd_recognize(args) -> int:
-    try:
-        D = _load(args.input, args.epsilon)
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    D = _load(args.input, args.epsilon)
+    if D is None:
         return 2
 
     if args.cls in ("quasi", "circular"):
@@ -87,9 +90,8 @@ def _cmd_recognize(args) -> int:
         )
         return 0 if holds else 1
 
-    candidate = find_compatible_order(D, eps=args.epsilon)
-    report = verify(D, candidate, eps=args.epsilon, workers=args.workers)
     order_set = compatible_orders(D, args.cls, eps=args.epsilon)
+    candidate, report = order_set.candidates[0]
     holds = len(order_set.orders) > 0
     payload = {
         "class": args.cls,
@@ -114,17 +116,18 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    D = _load(args.input, args.epsilon)
+    if D is None:
+        return 2
     try:
-        D = _load(args.input, args.epsilon)
-        indices = [int(t) for t in args.order.replace(",", " ").split()]
-        order = canonicalize(indices)
-    except (OSError, MatrixFormatError, ValueError) as exc:
+        order = canonicalize([int(t) for t in args.order.replace(",", " ").split()])
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if len(order) != D.n:
         print(f"error: order has {len(order)} indices, matrix has {D.n}", file=sys.stderr)
         return 2
-    report = verify(D, order, eps=args.epsilon, workers=args.workers)
+    report = verify(D, order, eps=args.epsilon)
     payload = report.to_json_dict()
     payload["order"] = list(order.seq)
     _print(
@@ -142,10 +145,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    try:
-        D = _load(args.input, args.epsilon)
-    except (OSError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    D = _load(args.input, args.epsilon)
+    if D is None:
         return 2
     if D.n > MAX_CLASSIFY_N:
         print(f"error: oracle is capped at n <= {MAX_CLASSIFY_N}; got n={D.n}", file=sys.stderr)
@@ -198,33 +199,6 @@ def _cmd_generate(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    sizes = [int(t) for t in args.sizes.replace(",", " ").split()]
-    rows = ["n,construct_s,recognize_s"]
-    for n in sizes:
-        D = circle_instance(n, args.metric)
-        t_construct = []
-        t_recognize = []
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            order = find_compatible_order(D)
-            t_construct.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            order = find_compatible_order(D)
-            verify(D, order)
-            t_recognize.append(time.perf_counter() - t0)
-        rows.append(
-            f"{n},{statistics.median(t_construct):.6f},{statistics.median(t_recognize):.6f}"
-        )
-    csv = "\n".join(rows) + "\n"
-    if args.csv:
-        Path(args.csv).write_text(csv)
-        print(f"wrote {args.csv}")
-    else:
-        print(csv, end="")
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="circrob",
@@ -236,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True, help="matrix file (format A, B, or CSV)")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="strict-quasi")
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread count for the row scan; output is identical")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_recognize)
 
@@ -246,8 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", required=True, help="comma-separated indices")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="quasi")
     p.add_argument("--epsilon", type=float, default=0.0)
-    p.add_argument("--workers", type=int, default=1,
-                   help="thread count for the row scan; output is identical")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -270,13 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.0, help="perturbation magnitude")
     p.add_argument("--output", required=True)
     p.set_defaults(func=_cmd_generate)
-
-    p = sub.add_parser("bench", help="timing sweep on circle instances")
-    p.add_argument("--sizes", default="500,1000,2000,4000,8000")
-    p.add_argument("--metric", choices=("arc", "chord"), default="chord")
-    p.add_argument("--repeats", type=int, default=5)
-    p.add_argument("--csv", default=None)
-    p.set_defaults(func=_cmd_bench)
 
     return parser
 

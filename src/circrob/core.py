@@ -24,13 +24,11 @@ __all__ = [
     "DissimilarityMatrix",
     "CircularOrder",
     "Arc",
-    "FarthestData",
     "load_matrix",
     "canonicalize",
     "chain_holds",
     "arc_between",
     "farthest_set",
-    "farthest_data",
 ]
 
 
@@ -213,25 +211,6 @@ def farthest_set(D: DissimilarityMatrix, x: int) -> tuple[float, frozenset[int]]
     r = float(row[mask].max())
     members = frozenset(int(i) for i in np.flatnonzero(mask & (row == r)))
     return r, members
-
-
-@dataclass(frozen=True)
-class FarthestData:
-    """Eccentricities and farthest sets of every point."""
-
-    eccentricities: np.ndarray
-    members: tuple[frozenset[int], ...]
-
-
-def farthest_data(D: DissimilarityMatrix, eps: float = 0.0) -> FarthestData:
-    masked = D.values.copy()
-    np.fill_diagonal(masked, -np.inf)
-    r = masked.max(axis=1)
-    hits = masked >= (r[:, None] - eps)
-    members = tuple(
-        frozenset(int(j) for j in np.flatnonzero(hits[i])) for i in range(D.n)
-    )
-    return FarthestData(eccentricities=r, members=members)
 
 
 def _tokenize(text: str) -> list[str]:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+import numpy as np
+
 from .core import DissimilarityMatrix
 
 __all__ = ["Quadruple", "cr", "scr", "qcr", "sqcr"]
@@ -45,17 +47,18 @@ def scr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     return v[x, z] - bound > eps
 
 
+def _qcr_margin(v: np.ndarray, x, y, z, t):
+    """d(x,z) - min(d(y,z), d(t,z)); the points may be index arrays."""
+    return v[x, z] - np.minimum(v[y, z], v[t, z])
+
+
 def qcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(d(y,z), d(t,z))."""
-    v = D.values
-    x, y, z, t = q
-    return v[x, z] - min(v[y, z], v[t, z]) >= -eps
+    return _qcr_margin(D.values, *q) >= -eps
 
 
 def sqcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`qcr`; requires pairwise-distinct points."""
     q = Quadruple(*q)
     _require_distinct(q)
-    v = D.values
-    x, y, z, t = q
-    return v[x, z] - min(v[y, z], v[t, z]) > eps
+    return _qcr_margin(D.values, *q) > eps

@@ -21,7 +21,8 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .core import CircularOrder, DissimilarityMatrix, canonicalize, farthest_set
-from .verification import verify
+from .predicates import _qcr_margin
+from .verification import ClassificationReport, verify
 
 __all__ = [
     "TieWarning",
@@ -58,10 +59,15 @@ class NearFarPartition:
 
 @dataclass(frozen=True)
 class OrderSet:
-    """All compatible canonical orders (up to reversal) of one strictness."""
+    """All compatible canonical orders (up to reversal) of one strictness.
+
+    `candidates` holds every distinct constructed order with its verification
+    report, the construction's pick first; it is not part of the JSON form.
+    """
 
     orders: tuple[CircularOrder, ...]
     bipartition: Optional[tuple[frozenset[int], frozenset[int], float]]
+    candidates: tuple[tuple[CircularOrder, ClassificationReport], ...]
 
     def to_json_dict(self) -> dict[str, Any]:
         bip = None
@@ -93,6 +99,15 @@ def j_set(D: DissimilarityMatrix, x: int, y: int, eps: float = 0.0) -> frozenset
     return frozenset(int(i) for i in np.flatnonzero(_j_mask(D.values, x, y, eps)))
 
 
+def _near_far_masks(
+    values: np.ndarray, x: int, x_prime: int, eps: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Masks of the points at least as close to x as to x', and vice versa."""
+    dN = values[:, x]
+    dF = values[:, x_prime]
+    return (dN - dF) <= eps, (dF - dN) <= eps
+
+
 def near_far_partition(
     D: DissimilarityMatrix, x: int, x_prime: int, eps: float = 0.0
 ) -> NearFarPartition:
@@ -100,10 +115,7 @@ def near_far_partition(
     r, _ = farthest_set(D, x)
     if not D.values[x, x_prime] >= r - eps:
         raise ValueError(f"{x_prime} is not a farthest neighbor of {x}")
-    dN = D.values[:, x]
-    dF = D.values[:, x_prime]
-    in_N = (dN - dF) <= eps
-    in_F = (dF - dN) <= eps
+    in_N, in_F = _near_far_masks(D.values, x, x_prime, eps)
     to_set = lambda m: frozenset(int(i) for i in np.flatnonzero(m))
     return NearFarPartition(
         x=x,
@@ -140,31 +152,26 @@ def orders_agree(
 
     v = D.values
 
-    def holds(a: int, b: int, c: int, d: int) -> bool:
-        # sqcr on the chain a < b < c < d and on its three rotations: a
+    def holds(a, b: int, c: int, d: int) -> bool:
+        # sqcr on every chain a[i] < b < c < d and on its three rotations: a
         # violation of the 4-subset may surface at any rotation
-        return (
-            v[a, c] - min(v[b, c], v[d, c]) > eps
-            and v[b, d] - min(v[c, d], v[a, d]) > eps
-            and v[c, a] - min(v[d, a], v[b, a]) > eps
-            and v[d, b] - min(v[a, b], v[c, b]) > eps
+        return bool(
+            (
+                (_qcr_margin(v, a, b, c, d) > eps)
+                & (_qcr_margin(v, b, c, d, a) > eps)
+                & (_qcr_margin(v, c, d, a, b) > eps)
+                & (_qcr_margin(v, d, a, b, c) > eps)
+            ).all()
         )
 
     x1, x2, xk, xk1 = xn[0], xn[1], xn[-1], xn[-2]
     y1, y2, yl, yl1 = xf[0], xf[1], xf[-1], xf[-2]
-    for i in range(k - 1):
-        if not holds(xn[i], xk, y1, y2):
-            return False
-    for i in range(1, k):
-        if not holds(xn[i], yl1, yl, x1):
-            return False
-    for j in range(l - 1):
-        if not holds(xf[j], yl, x1, x2):
-            return False
-    for j in range(1, l):
-        if not holds(xf[j], xk1, xk, y1):
-            return False
-    return True
+    return (
+        holds(xn[:-1], xk, y1, y2)
+        and holds(xn[1:], yl1, yl, x1)
+        and holds(xf[:-1], yl, x1, x2)
+        and holds(xf[1:], xk1, xk, y1)
+    )
 
 
 def _dist_sorted(
@@ -221,8 +228,7 @@ def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
     x_prime = int(np.argmax(row))
     dN = v[:, x]
     dF = v[:, x_prime]
-    in_N = (dN - dF) <= eps
-    in_F = (dF - dN) <= eps
+    in_N, in_F = _near_far_masks(v, x, x_prime, eps)
     meet = in_N & in_F
     idx = np.arange(n, dtype=np.intp)
 
@@ -278,9 +284,9 @@ def compatible_orders(
     """All compatible canonical orders for the requested strict notion.
 
     Runs the construction, also tries the alternative composition when the
-    equidistant set was empty, and keeps exactly the candidates that pass the
-    full O(n^2) verification.  Empty result means the space is not strictly
-    (quasi-)circular Robinson.
+    equidistant set was empty, verifies each distinct candidate once in
+    O(n^2), and keeps exactly the ones that pass.  Empty result means the
+    space is not strictly (quasi-)circular Robinson.
     """
     if strictness == STRICT_QUASI:
         flag = "strict_quasi"
@@ -293,10 +299,12 @@ def compatible_orders(
         order = canonicalize(cand)
         if order not in seen:
             seen.append(order)
-    kept = [o for o in seen if getattr(verify(D, o, eps), flag)]
-    kept.sort(key=lambda o: o.seq)
+    candidates = tuple((o, verify(D, o, eps)) for o in seen)
+    kept = sorted(
+        (o for o, report in candidates if getattr(report, flag)), key=lambda o: o.seq
+    )
     bip = bipartition_criterion(D, eps) if len(kept) == 2 else None
-    return OrderSet(orders=tuple(kept), bipartition=bip)
+    return OrderSet(orders=tuple(kept), bipartition=bip, candidates=candidates)
 
 
 def bipartition_criterion(

@@ -122,14 +122,15 @@ class _RowScan:
 
 
 def _scan_block(
-    values: np.ndarray, order_arr: np.ndarray, eps: float, start: int, stop: int
-) -> dict:
-    """Scan rows at positions start..stop-1; blocks are independent, so they
-    may run concurrently and are merged in position order afterwards."""
+    values: np.ndarray, order_arr: np.ndarray, eps: float, start: int, stop: int,
+    scan: _RowScan,
+) -> None:
+    """Scan rows at positions start..stop-1 into `scan`.  Blocks must come in
+    position order: a violation is recorded only if none was found before."""
     n = order_arr.size
     L = n - 1
     offs = np.arange(1, n)
-    didx = np.arange(max(L - 1, 0))
+    sl = slice(start, stop)
     P = np.arange(start, stop)
     cols = order_arr[(P[:, None] + offs[None, :]) % n]
     v = values[order_arr[P][:, None], cols]  # (B, L) circular row reads
@@ -138,104 +139,67 @@ def _scan_block(
     cnt = plateau.sum(axis=1)
     pf = plateau.argmax(axis=1)
     pl = (L - 1) - plateau[:, ::-1].argmax(axis=1)
+    scan.max_count[sl] = cnt
+    scan.s_off[sl] = 1 + pf
+    scan.e_off[sl] = 1 + pl
+    if L < 2:
+        return
 
-    weak_viol = None
-    strict_viol = None
-    if L >= 2:
-        diffs = v[:, 1:] - v[:, :-1]
-        fall = diffs < -eps
-        rise = diffs > eps
-        first_fall = np.where(fall.any(axis=1), fall.argmax(axis=1), L)
-        last_rise = np.where(
-            rise.any(axis=1), (L - 2) - rise[:, ::-1].argmax(axis=1), -1
-        )
-        w_ok = ~(first_fall < last_rise)
-        bad_rise = ((diffs <= eps) & (didx[None, :] < pf[:, None])).any(axis=1)
-        bad_fall = ((diffs >= -eps) & (didx[None, :] >= pl[:, None])).any(axis=1)
-        s_ok = (cnt <= 2) & ((pl - pf) == (cnt - 1)) & ~bad_rise & ~bad_fall
-        if not w_ok.all():
-            b = int(np.flatnonzero(~w_ok)[0])
-            point = int(order_arr[start + b])
-            weak_viol = (point, (int(first_fall[b]) + 1, int(last_rise[b]) + 1))
-        if not s_ok.all():
-            b = int(np.flatnonzero(~s_ok)[0])
-            point = int(order_arr[start + b])
-            if cnt[b] > 2 or (pl[b] - pf[b]) != (cnt[b] - 1):
-                pos = (int(pf[b]), int(pl[b]))
-            else:
-                offending = np.flatnonzero(
-                    ((diffs[b] <= eps) & (didx < pf[b]))
-                    | ((diffs[b] >= -eps) & (didx >= pl[b]))
-                )
-                i = int(offending[0])
-                pos = (i, i + 1)
-            strict_viol = (point, pos)
-    else:
-        w_ok = np.ones(stop - start, dtype=bool)
-        s_ok = w_ok.copy()
-
-    return {
-        "start": start,
-        "stop": stop,
-        "w_ok": w_ok,
-        "s_ok": s_ok,
-        "cnt": cnt,
-        "pf": pf,
-        "pl": pl,
-        "weak_viol": weak_viol,
-        "strict_viol": strict_viol,
-    }
-
-
-def _scan_rows(
-    values: np.ndarray, order_arr: np.ndarray, eps: float, workers: int = 1
-) -> _RowScan:
-    n = order_arr.size
-    weak_ok = np.ones(n, dtype=bool)
-    strict_ok = np.ones(n, dtype=bool)
-    max_count = np.zeros(n, dtype=np.intp)
-    s_off = np.ones(n, dtype=np.intp)
-    e_off = np.ones(n, dtype=np.intp)
-    if n == 1:
-        return _RowScan(n, weak_ok, strict_ok, max_count, s_off, e_off, None, None)
-
-    spans = [(s, min(s + _BLOCK, n)) for s in range(0, n, _BLOCK)]
-    if workers > 1 and len(spans) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda sp: _scan_block(values, order_arr, eps, *sp), spans)
+    didx = np.arange(L - 1)
+    diffs = v[:, 1:] - v[:, :-1]
+    fall = diffs < -eps
+    rise = diffs > eps
+    first_fall = np.where(fall.any(axis=1), fall.argmax(axis=1), L)
+    last_rise = np.where(rise.any(axis=1), (L - 2) - rise[:, ::-1].argmax(axis=1), -1)
+    w_ok = ~(first_fall < last_rise)
+    bad_rise = ((diffs <= eps) & (didx[None, :] < pf[:, None])).any(axis=1)
+    bad_fall = ((diffs >= -eps) & (didx[None, :] >= pl[:, None])).any(axis=1)
+    s_ok = (cnt <= 2) & ((pl - pf) == (cnt - 1)) & ~bad_rise & ~bad_fall
+    scan.weak_ok[sl] = w_ok
+    scan.strict_ok[sl] = s_ok
+    if scan.weak_violation is None and not w_ok.all():
+        b = int(np.flatnonzero(~w_ok)[0])
+        point = int(order_arr[start + b])
+        scan.weak_violation = (point, (int(first_fall[b]) + 1, int(last_rise[b]) + 1))
+    if scan.strict_violation is None and not s_ok.all():
+        b = int(np.flatnonzero(~s_ok)[0])
+        point = int(order_arr[start + b])
+        if cnt[b] > 2 or (pl[b] - pf[b]) != (cnt[b] - 1):
+            pos = (int(pf[b]), int(pl[b]))
+        else:
+            offending = np.flatnonzero(
+                ((diffs[b] <= eps) & (didx < pf[b])) | ((diffs[b] >= -eps) & (didx >= pl[b]))
             )
-    else:
-        results = [_scan_block(values, order_arr, eps, *sp) for sp in spans]
+            i = int(offending[0])
+            pos = (i, i + 1)
+        scan.strict_violation = (point, pos)
 
-    weak_violation = None
-    strict_violation = None
-    for res in results:  # blocks in position order: deterministic merge
-        sl = slice(res["start"], res["stop"])
-        weak_ok[sl] = res["w_ok"]
-        strict_ok[sl] = res["s_ok"]
-        max_count[sl] = res["cnt"]
-        s_off[sl] = 1 + res["pf"]
-        e_off[sl] = 1 + res["pl"]
-        if weak_violation is None and res["weak_viol"] is not None:
-            weak_violation = res["weak_viol"]
-        if strict_violation is None and res["strict_viol"] is not None:
-            strict_violation = res["strict_viol"]
 
-    return _RowScan(
-        n, weak_ok, strict_ok, max_count, s_off, e_off, weak_violation, strict_violation
+def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowScan:
+    n = order_arr.size
+    scan = _RowScan(
+        n,
+        weak_ok=np.ones(n, dtype=bool),
+        strict_ok=np.ones(n, dtype=bool),
+        max_count=np.zeros(n, dtype=np.intp),
+        s_off=np.ones(n, dtype=np.intp),
+        e_off=np.ones(n, dtype=np.intp),
+        weak_violation=None,
+        strict_violation=None,
     )
+    if n > 1:
+        for start in range(0, n, _BLOCK):
+            _scan_block(values, order_arr, eps, start, min(start + _BLOCK, n), scan)
+    return scan
 
 
 def _scan(
-    D: DissimilarityMatrix, order: CircularOrder, eps: float, workers: int = 1
+    D: DissimilarityMatrix, order: CircularOrder, eps: float
 ) -> tuple[np.ndarray, _RowScan]:
     order_arr = np.asarray(order.seq, dtype=np.intp)
     if order_arr.size != D.n:
         raise ValueError(f"order has {order_arr.size} points, matrix has {D.n}")
-    return order_arr, _scan_rows(D.values, order_arr, eps, workers)
+    return order_arr, _scan_rows(D.values, order_arr, eps)
 
 
 def _report_from_scan(order_arr: np.ndarray, scan: _RowScan, strict: bool) -> UnimodalityReport:
@@ -414,14 +378,10 @@ def is_linear_robinson(
 
 
 def verify(
-    D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0, workers: int = 1
+    D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0
 ) -> ClassificationReport:
-    """Classify the order against all four compatibility notions at once.
-
-    `workers` > 1 runs the row scan blocks in a thread pool; the result is
-    identical to the sequential evaluation.
-    """
-    order_arr, scan = _scan(D, order, eps, workers)
+    """Classify the order against all four compatibility notions at once."""
+    order_arr, scan = _scan(D, order, eps)
     quasi = bool(scan.weak_ok.all())
     strict_quasi = bool(scan.strict_ok.all())
     witnesses: dict[str, Any] = {}

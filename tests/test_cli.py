@@ -66,6 +66,36 @@ class TestRecognize:
         assert payload["order_set"]["bipartition"]["delta"] == 1.0
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recognize"],
+            ["recognize", "--class", "circular"],
+            ["verify", "--order", "0,1,2,3"],
+            ["oracle"],
+        ],
+    )
+    def test_non_utf8_file(self, tmp_path, capsys, argv):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe\x00garbage")
+        assert main([*argv, "--input", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recognize", "--workers", "2"],
+            ["verify", "--order", "0,1,2,3", "--workers", "2"],
+            ["bench"],
+        ],
+    )
+    def test_removed_options_rejected(self, fixture_file, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv[:1], "--input", fixture_file, *argv[1:]])
+        assert exc.value.code == 2
+
+
 class TestVerify:
     def test_natural_order_flags(self, fixture_file, capsys):
         rc = main(["verify", "--input", fixture_file, "--order", "0,1,2,3", "--json"])
@@ -156,14 +186,3 @@ class TestRecognizeOracleAgreement:
         main(["oracle", "--input", str(path), "--json"])
         orc = json.loads(capsys.readouterr().out)
         assert rec["order_set"]["orders"] == sorted(orc["strict_quasi_circular"])
-
-
-class TestBench:
-    def test_smoke_csv(self, tmp_path):
-        csv = tmp_path / "bench.csv"
-        assert main(["bench", "--sizes", "50,100", "--repeats", "2", "--csv", str(csv)]) == 0
-        lines = csv.read_text().strip().splitlines()
-        assert lines[0] == "n,construct_s,recognize_s"
-        assert len(lines) == 3
-        n, c, r = lines[1].split(",")
-        assert int(n) == 50 and float(c) > 0 and float(r) >= float(c) * 0.5

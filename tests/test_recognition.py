@@ -10,11 +10,16 @@ from circrob import (
     canonicalize,
     circle_instance,
     compatible_orders,
+    counterexample_fixture,
     find_compatible_order,
     j_set,
     near_far_partition,
     oracle_classify,
     orders_agree,
+    perturb,
+    sqcr,
+    two_cluster_instance,
+    verify,
 )
 from conftest import mixed_small_space, random_space
 
@@ -95,6 +100,40 @@ class TestOrdersAgree:
         assert orders_agree(C, (0, 1, 2), (3, 4, 5))
         assert not orders_agree(C, (0, 1, 2), (5, 4, 3))
 
+    def test_matches_pointwise_sqcr(self):
+        # reference: the four families written out point by point with sqcr
+        def reference(D, xn, xf, eps):
+            def holds(a, b, c, d):
+                rotations = ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c))
+                return all(sqcr(D, q, eps) for q in rotations)
+
+            families = (
+                [(a, xn[-1], xf[0], xf[1]) for a in xn[:-1]]
+                + [(a, xf[-2], xf[-1], xn[0]) for a in xn[1:]]
+                + [(a, xf[-1], xn[0], xn[1]) for a in xf[:-1]]
+                + [(a, xn[-2], xn[-1], xf[0]) for a in xf[1:]]
+            )
+            return all(holds(*chain) for chain in families)
+
+        # circles in their true order with one or two entries redrawn, so
+        # that the outcome often hinges on a single quadruple
+        rng = np.random.default_rng(404)
+        outcomes = set()
+        for _ in range(1000):
+            n = int(rng.integers(5, 9))
+            v = circle_instance(n, "chord", np.sort(rng.uniform(0, 2 * np.pi, n))).values.copy()
+            for _ in range(int(rng.integers(1, 3))):
+                i, j = rng.choice(n, 2, replace=False)
+                v[i, j] = v[j, i] = rng.uniform(0.05, 2.0)
+            D = DissimilarityMatrix(v)
+            k = int(rng.integers(2, n - 1))
+            xn, xf = list(range(k)), list(range(k, n))[:: int(rng.choice([1, -1]))]
+            eps = float(rng.choice([0.0, 0.05]))
+            got = orders_agree(D, xn, xf, eps)
+            assert got == reference(D, xn, xf, eps)
+            outcomes.add(got)
+        assert outcomes == {True, False}
+
 
 class TestFindCompatibleOrder:
     def test_fixture(self, fixture4):
@@ -156,6 +195,44 @@ class TestCompatibleOrders:
         d = compatible_orders(fixture4, "strict-quasi").to_json_dict()
         assert d["orders"] == [[0, 1, 2, 3], [0, 1, 3, 2]]
         assert d["bipartition"] == {"N": [0, 1], "F": [2, 3], "delta": 1.0}
+
+
+class TestCandidateReports:
+    @pytest.fixture(params=["circle", "two-cluster", "perturbed", "fixture"])
+    def space(self, request):
+        return {
+            "circle": lambda: circle_instance(40, "chord"),
+            "two-cluster": lambda: two_cluster_instance(12, 9, seed=2),
+            "perturbed": lambda: perturb(circle_instance(40, "chord"), 1e-3, seed=5),
+            "fixture": counterexample_fixture,
+        }[request.param]()
+
+    def test_pick_first_and_reports_match_verify(self, space):
+        for strictness in ("strict-quasi", "strict-circular"):
+            cands = compatible_orders(space, strictness).candidates
+            assert cands[0][0] == find_compatible_order(space)
+            assert len({o for o, _ in cands}) == len(cands)
+            for order, report in cands:
+                assert report == verify(space, order)
+
+    def test_recognize_verifies_each_candidate_once(self, space, tmp_path, monkeypatch):
+        import circrob.cli
+        import circrob.recognition
+        from circrob.cli import _matrix_text, main
+
+        calls = []
+
+        def counting_verify(*args, **kwargs):
+            calls.append(args[1])
+            return verify(*args, **kwargs)
+
+        path = tmp_path / "d.txt"
+        path.write_text(_matrix_text(space))
+        for module in (circrob.cli, circrob.recognition):
+            monkeypatch.setattr(module, "verify", counting_verify)
+        main(["recognize", "--input", str(path), "--json"])
+        monkeypatch.undo()
+        assert calls == [o for o, _ in compatible_orders(space).candidates]
 
 
 class TestBipartitionCriterion:

@@ -16,6 +16,7 @@ from circrob import (
     quasi_circular_by_quadruples,
     verify,
 )
+from circrob import verification
 from conftest import random_space
 
 LINE_D = DissimilarityMatrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points 1, 2, 4 on a line
@@ -208,14 +209,35 @@ class TestVerify:
         )
 
 
-def test_threaded_scan_identical_to_sequential():
+def test_block_size_invariance(monkeypatch):
+    # One block covering every row gives the same scan and reports as 512-row
+    # blocks: the first violation in position order wins when several blocks
+    # have one, and every block writes its rows of the per-position arrays.
     from circrob import circle_instance, find_compatible_order, perturb
 
     D = perturb(circle_instance(1500, "chord"), 1e-5, seed=3)
-    order = find_compatible_order(D)
-    assert verify(D, order, workers=3) == verify(D, order, workers=1)
-    bad = canonicalize(list(range(2, 1500)) + [1, 0])
-    assert verify(D, bad, workers=3) == verify(D, bad, workers=1)
+    C = circle_instance(1500, "chord")
+    cases = [
+        (D, find_compatible_order(D)),
+        (D, canonicalize(list(range(2, 1500)) + [1, 0])),
+        (C, find_compatible_order(C)),
+    ]
+
+    def reports():
+        out = []
+        for M, o in cases:
+            _, scan = verification._scan(M, o, 0.0)
+            fields = {
+                k: v.tolist() if isinstance(v, np.ndarray) else v
+                for k, v in vars(scan).items()
+            }
+            out.append((verify(M, o), fields))
+        return out
+
+    assert verification._BLOCK == 512
+    blocked = reports()
+    monkeypatch.setattr(verification, "_BLOCK", 1500)
+    assert reports() == blocked
 
 
 class TestDefinitionEquivalences:
