@@ -12,6 +12,8 @@ import sys
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
 from .core import DissimilarityMatrix, MatrixFormatError, canonicalize, load_matrix
 from .generators import (
     GenerationError,
@@ -46,11 +48,28 @@ def _print(payload: dict, as_json: bool, lines: list[str]) -> None:
             print(line)
 
 
-def _load(path: str, eps: float) -> Optional[DissimilarityMatrix]:
-    """The matrix in the file, or None after printing why it cannot be read;
-    the caller then exits with 2."""
+def _read_npy(path: str) -> np.ndarray:
+    """The array in a .npy file, memory-mapped read-only."""
     try:
-        return load_matrix(Path(path).read_text(), eps=eps)
+        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise MatrixFormatError(f"not a readable .npy file: {exc}") from None
+    if isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf":
+        return arr
+    if hasattr(arr, "close"):  # a zip (.npz) archive named *.npy
+        arr.close()
+    raise MatrixFormatError("a .npy matrix must hold one array of real numbers")
+
+
+def _load(path: str, eps: float) -> Optional[DissimilarityMatrix]:
+    """The matrix in the file (a .npy array, or text in format A, B or CSV),
+    or None after printing why it cannot be read; the caller then exits
+    with 2."""
+    try:
+        if path.endswith(".npy"):
+            return DissimilarityMatrix._adopt(_read_npy(path), eps=eps)
+        with open(path) as fh:
+            return load_matrix(fh, eps=eps)
     except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return None
@@ -161,11 +180,18 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _matrix_text(D: DissimilarityMatrix) -> str:
-    lines = [str(D.n)]
-    for row in D.values:
-        lines.append(" ".join(repr(float(v)) for v in row))
-    return "\n".join(lines) + "\n"
+def _write_matrix(D: DissimilarityMatrix, out: Path) -> None:
+    """Write D as a .npy array when `out` ends in .npy, the rule _load reads
+    by, else as format-A text, one row at a time, with repr() values so that
+    the text loads back bit-identical."""
+    if str(out).endswith(".npy"):
+        with out.open("wb") as fh:
+            np.save(fh, D.values, allow_pickle=False)
+        return
+    with out.open("w") as fh:
+        fh.write(f"{D.n}\n")
+        for row in D.values:
+            fh.write(" ".join(map(repr, row.tolist())) + "\n")
 
 
 def _cmd_generate(args) -> int:
@@ -191,7 +217,7 @@ def _cmd_generate(args) -> int:
         kind=args.kind, n=D.n, seed=args.seed, epsilon=args.epsilon, params=params
     )
     out = Path(args.output)
-    out.write_text(_matrix_text(D))
+    _write_matrix(D, out)
     out.with_suffix(out.suffix + ".json").write_text(
         json.dumps(spec.to_json_dict(), indent=2) + "\n"
     )
@@ -207,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("recognize", help="construct and check compatible orders")
-    p.add_argument("--input", required=True, help="matrix file (format A, B, or CSV)")
+    p.add_argument("--input", required=True, help="matrix file (format A, B, CSV, or .npy)")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="strict-quasi")
     p.add_argument("--epsilon", type=float, default=0.0)
     p.add_argument("--json", action="store_true")
@@ -238,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--l", type=int, default=None, help="second cluster size (two-cluster)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--epsilon", type=float, default=0.0, help="perturbation magnitude")
-    p.add_argument("--output", required=True)
+    p.add_argument("--output", required=True, help="*.npy for a numpy array, else format-A text")
     p.set_defaults(func=_cmd_generate)
 
     return parser

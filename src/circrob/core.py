@@ -13,9 +13,10 @@ Comparisons throughout the package take an absolute tolerance ``eps``
 
 from __future__ import annotations
 
+import io
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Iterator, Sequence, TextIO
+from itertools import chain, combinations
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -36,18 +37,56 @@ class MatrixFormatError(ValueError):
     """Input text or values violate the dissimilarity-matrix contract."""
 
 
+# Matrix rows checked at a time by the validator, and characters of text read
+# and converted at a time by load_matrix; both bound the memory used beside
+# the matrix.
+_BAND = 64
+_CHUNK = 1 << 16
+
+
+def _first(mask: np.ndarray, row0: int) -> Optional[tuple[int, int]]:
+    """Matrix (row, column) of the first True entry, in row-major order, of
+    the mask of a band starting at row `row0`; None when there is none."""
+    k = int(np.argmax(mask))
+    if not mask.flat[k]:
+        return None
+    i, j = divmod(k, mask.shape[1])
+    return row0 + i, j
+
+
 def _validate_values(arr: np.ndarray, eps: float) -> None:
+    """Raise MatrixFormatError at the first broken rule, in this order: a
+    non-finite entry, the largest asymmetry above eps, a nonzero diagonal, a
+    negative entry, a zero off-diagonal entry.  Works on bands of _BAND rows,
+    so the extra memory is a few bands, not copies of the matrix."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"matrix must be square, got shape {arr.shape}")
     n = arr.shape[0]
     if n == 0:
         raise MatrixFormatError("matrix must have at least one point")
-    if not np.all(np.isfinite(arr)):
-        i, j = np.argwhere(~np.isfinite(arr))[0]
-        raise MatrixFormatError(f"non-finite entry at ({i},{j})")
-    asym = np.abs(arr - arr.T)
-    if asym.max(initial=0.0) > eps:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    bands = [(a, min(a + _BAND, n)) for a in range(0, n, _BAND)]
+    for a, b in bands:
+        at = _first(~np.isfinite(arr[a:b]), a)
+        if at is not None:
+            raise MatrixFormatError(f"non-finite entry at ({at[0]},{at[1]})")
+    # The largest asymmetry first reached in row-major order lies on or above
+    # the diagonal, so band [a, b) only compares columns a: with their mirror.
+    asym, asym_at, neg_at, zero_at = 0.0, (0, 0), None, None
+    for a, b in bands:
+        band = arr[a:b]
+        diff = np.abs(band[:, a:] - arr[a:, a:b].T)
+        k = int(np.argmax(diff))
+        if diff.flat[k] > asym:
+            i, j = divmod(k, n - a)
+            asym, asym_at = diff.flat[k], (a + i, a + j)
+        if neg_at is None:
+            neg_at = _first(band < 0, a)
+        if zero_at is None:
+            zero = band <= 0
+            zero[np.arange(b - a), np.arange(a, b)] = False
+            zero_at = _first(zero, a)
+    if asym > eps:
+        i, j = asym_at
         raise MatrixFormatError(
             f"asymmetric entries at ({i},{j}): {arr[i, j]} vs {arr[j, i]}"
         )
@@ -55,14 +94,11 @@ def _validate_values(arr: np.ndarray, eps: float) -> None:
     if diag.max(initial=0.0) > 0:
         i = int(np.argmax(diag))
         raise MatrixFormatError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
-    off = ~np.eye(n, dtype=bool)
-    neg = (arr < 0) & off
-    if neg.any():
-        i, j = np.argwhere(neg)[0]
+    if neg_at is not None:
+        i, j = neg_at
         raise MatrixFormatError(f"negative entry at ({i},{j}): {arr[i, j]}")
-    zero = (arr <= 0) & off
-    if zero.any():
-        i, j = np.argwhere(zero)[0]
+    if zero_at is not None:
+        i, j = zero_at
         raise MatrixFormatError(
             f"zero off-diagonal entry at ({i},{j}): distinct points must have"
             " positive dissimilarity"
@@ -78,9 +114,20 @@ class DissimilarityMatrix:
     __slots__ = ("values", "n")
 
     def __init__(self, values: Iterable, eps: float = 0.0):
-        arr = np.array(values, dtype=float)
-        _validate_values(arr, eps)
+        self._store(np.array(values, dtype=float, order="C"), eps)
+
+    @classmethod
+    def _adopt(cls, arr: np.ndarray, eps: float = 0.0) -> "DissimilarityMatrix":
+        """The matrix of an array that nothing else writes (the loader's own
+        array, a read-only memory map), stored without a copy when it is
+        already C-contiguous float64."""
+        D = cls.__new__(cls)
+        D._store(np.asarray(arr, dtype=np.float64, order="C"), eps)
+        return D
+
+    def _store(self, arr: np.ndarray, eps: float) -> None:
         arr.flags.writeable = False
+        _validate_values(arr, eps)
         self.values = arr
         self.n = int(arr.shape[0])
 
@@ -213,8 +260,49 @@ def farthest_set(D: DissimilarityMatrix, x: int) -> tuple[float, frozenset[int]]
     return r, members
 
 
-def _tokenize(text: str) -> list[str]:
-    return text.replace(",", " ").split()
+def _token_batches(text: TextIO) -> Iterator[list[str]]:
+    """The tokens of `text` in order, one list per chunk read; whitespace
+    and commas separate tokens, and a token cut by a chunk boundary is
+    carried into the next list."""
+    carry = ""
+    while chunk := text.read(_CHUNK):
+        tokens = (carry + chunk).replace(",", " ").split()
+        end = chunk[-1]
+        carry = tokens.pop() if tokens and not (end.isspace() or end == ",") else ""
+        yield tokens
+    if carry:
+        yield [carry]
+
+
+def _to_floats(tokens: list[str], before: int) -> np.ndarray:
+    """float() of each token; a bad one is named with its 1-based index
+    among the values after n (`before` values precede this batch)."""
+    try:
+        return np.fromiter(map(float, tokens), np.float64, len(tokens))
+    except ValueError:
+        for k, token in enumerate(tokens):
+            try:
+                float(token)
+            except ValueError:
+                raise MatrixFormatError(
+                    f"non-numeric entry {token!r} at value {before + k + 1} after n"
+                ) from None
+        raise
+
+
+def _fill_from_lower(arr: np.ndarray) -> None:
+    """Turn arr, whose flat start holds the lower triangle row by row
+    (row i: d(i,0)..d(i,i-1)), into the full symmetric matrix in place.
+    Row i is read from flat offset i(i-1)/2 and written at i*n, never before
+    the offsets of rows below i, so filling the last row first overwrites
+    nothing still to be read."""
+    n = arr.shape[0]
+    flat = arr.reshape(-1)
+    for i in range(n - 1, -1, -1):
+        s = i * (i - 1) // 2
+        arr[i, :i] = flat[s : s + i]
+        arr[i, i] = 0.0
+        arr[i, i + 1 :] = arr[i + 1 :, i]
 
 
 def load_matrix(text: str | TextIO, eps: float = 0.0) -> DissimilarityMatrix:
@@ -224,10 +312,19 @@ def load_matrix(text: str | TextIO, eps: float = 0.0) -> DissimilarityMatrix:
     triangle): first token n, then n*(n-1)/2 values, row i contributing
     d(i,0)..d(i,i-1).  Commas are accepted as separators, which covers the
     CSV variant of format A.
+
+    The text is read in chunks and every value goes straight into one
+    n*n float64 array, so the memory used is about the matrix plus one
+    chunk.  Values are converted with float(), which rounds correctly: a
+    file written with repr() loads bit-identical.
     """
-    if hasattr(text, "read"):
-        text = text.read()
-    tokens = _tokenize(text)
+    if isinstance(text, str):
+        text = io.StringIO(text)
+    batches = _token_batches(text)
+    tokens: list[str] = []
+    for tokens in batches:
+        if tokens:
+            break
     if not tokens:
         raise MatrixFormatError("empty input")
     try:
@@ -236,24 +333,25 @@ def load_matrix(text: str | TextIO, eps: float = 0.0) -> DissimilarityMatrix:
         raise MatrixFormatError(f"first token must be the point count, got {tokens[0]!r}")
     if n < 1:
         raise MatrixFormatError(f"point count must be >= 1, got {n}")
-    body = tokens[1:]
-    try:
-        vals = [float(t) for t in body]
-    except ValueError as exc:
-        raise MatrixFormatError(f"non-numeric entry: {exc}")
     full, tri = n * n, n * (n - 1) // 2
-    if len(vals) == full:
-        arr = np.array(vals, dtype=float).reshape(n, n)
-    elif len(vals) == tri:
-        arr = np.zeros((n, n), dtype=float)
-        k = 0
-        for i in range(1, n):
-            for j in range(i):
-                arr[i, j] = arr[j, i] = vals[k]
-                k += 1
-    else:
+    try:
+        arr = np.empty((n, n))
+    except (MemoryError, ValueError):  # n is too large; count the values only
+        arr = np.empty((0, 0))
+    flat = arr.reshape(-1)
+    count = 0
+    for tokens in chain([tokens[1:]], batches):
+        vals = _to_floats(tokens, count)
+        stop = min(count + vals.size, flat.size)
+        flat[count:stop] = vals[: max(stop - count, 0)]
+        count += vals.size
+    if count not in (full, tri):
         raise MatrixFormatError(
             f"expected {full} values (full) or {tri} (lower triangle) after"
-            f" n={n}, got {len(vals)}"
+            f" n={n}, got {count}"
         )
-    return DissimilarityMatrix(arr, eps=eps)
+    if arr.size < full:
+        raise MatrixFormatError(f"a matrix of n={n} points does not fit in memory")
+    if count != full:
+        _fill_from_lower(arr)
+    return DissimilarityMatrix._adopt(arr, eps=eps)

@@ -211,7 +211,7 @@ def _dist_sorted(
         warnings.warn(
             "equal distance keys while ordering points; instance may not be strict",
             TieWarning,
-            stacklevel=3,
+            stacklevel=4,  # the caller of compatible_orders / find_compatible_order
         )
     return out
 

@@ -1,5 +1,8 @@
+import io
 import json
+import re
 
+import numpy as np
 import pytest
 
 from circrob import load_matrix
@@ -66,6 +69,12 @@ class TestRecognize:
         assert payload["order_set"]["bipartition"]["delta"] == 1.0
 
 
+def _npz_bytes() -> bytes:
+    buf = io.BytesIO()
+    np.savez(buf, m=np.ones((2, 2)) - np.eye(2))
+    return buf.getvalue()
+
+
 class TestInputErrors:
     @pytest.mark.parametrize(
         "argv",
@@ -81,6 +90,67 @@ class TestInputErrors:
         path.write_bytes(b"\xff\xfe\x00garbage")
         assert main([*argv, "--input", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["recognize"], ["verify", "--order", "0,1,2"]])
+    @pytest.mark.parametrize(
+        "name,text,message",
+        [
+            ("truncated", "3\n0 1 2\n1 0 1\n2 1",
+             r"expected 9 values \(full\) or 3 \(lower triangle\) after n=3, got 8"),
+            ("too-many", "3\n0 1 2\n1 0 1\n2 1 0 5", r"expected 9 values .* got 10"),
+            ("asymmetric", "3\n0 1 2\n1 0 1\n2 4 0", r"asymmetric entries at \(1,2\): 1.0 vs 4.0"),
+            ("empty", "", r"empty input"),
+            ("zero-points", "0\n", r"point count must be >= 1, got 0"),
+        ],
+    )
+    def test_bad_file_located(self, tmp_path, capsys, argv, name, text, message):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
+
+    @pytest.mark.parametrize("argv", [["recognize"], ["verify", "--order", "0,1,2"]])
+    def test_non_numeric_in_second_chunk(self, tmp_path, capsys, argv):
+        from circrob.core import _CHUNK
+
+        n = 80
+        vals = np.abs(np.subtract.outer(np.arange(n), np.arange(n))) / 7.0
+        tokens = [repr(float(v)) for v in vals.ravel()]
+        offset = len(str(n)) + 1
+        k = 0
+        while offset <= _CHUNK + 5:  # the first token starting in the second chunk
+            offset += len(tokens[k]) + 1
+            k += 1
+        assert offset < 2 * _CHUNK
+        tokens[k] = "1.5e"
+        path = tmp_path / "bad.txt"
+        path.write_text(f"{n}\n" + " ".join(tokens) + "\n")
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: non-numeric entry '1.5e' at value {k + 1} after n\n"
+
+    @pytest.mark.parametrize("argv", [["recognize"], ["verify", "--order", "0,1,2"]])
+    @pytest.mark.parametrize(
+        "name,make,message",
+        [
+            ("corrupt", lambda p: p.write_bytes(b"\x93NUMPY\x01\x00garbage"),
+             "not a readable .npy file"),
+            ("empty", lambda p: p.write_bytes(b""), "not a readable .npy file"),
+            ("one-d", lambda p: np.save(p, np.arange(3.0)), r"square, got shape \(3,\)"),
+            ("object", lambda p: np.save(p, np.array([[0, None], [None, 0]]), allow_pickle=True),
+             "not a readable .npy file"),
+            ("strings", lambda p: np.save(p, np.array([["0", "1"], ["1", "0"]])),
+             "real numbers"),
+            ("zip", lambda p: p.write_bytes(_npz_bytes()), "real numbers"),
+        ],
+    )
+    def test_bad_npy(self, tmp_path, capsys, argv, name, make, message):
+        path = tmp_path / f"{name}.npy"
+        make(path)
+        assert main([*argv, "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and re.search(message, err), err
 
     @pytest.mark.parametrize(
         "argv",
@@ -162,6 +232,20 @@ class TestGenerate:
         sidecar = json.loads(out.with_suffix(".txt.json").read_text())
         assert sidecar["kind"] == kind
         assert sidecar["n"] == D.n
+
+    def test_text_and_npy_recognized_alike(self, tmp_path, capsys):
+        text, npy = tmp_path / "c.txt", tmp_path / "c.npy"
+        args = ["generate", "--kind", "two-cluster", "--n", "300", "--seed", "3"]
+        assert main([*args, "--output", str(text)]) == 0
+        assert main([*args, "--output", str(npy)]) == 0
+        assert np.load(npy).tobytes() == load_matrix(text.read_text()).values.tobytes()
+        outputs = []
+        for path in (text, npy):
+            capsys.readouterr()
+            assert main(["recognize", "--input", str(path), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0])["order_set"]["bipartition"] is not None
 
     def test_two_cluster_size_error(self, tmp_path):
         out = tmp_path / "x.txt"

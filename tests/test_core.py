@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from circrob import (
+    DissimilarityMatrix,
     MatrixFormatError,
     arc_between,
     canonicalize,
@@ -63,8 +64,263 @@ class TestLoadMatrix:
             load_matrix("3\n0 1\n1 0")
 
     def test_non_numeric_rejected(self):
-        with pytest.raises(MatrixFormatError):
+        with pytest.raises(MatrixFormatError, match=r"non-numeric entry 'a' at value 2 after n"):
             load_matrix("2\n0 a\na 0")
+
+    def test_first_token_and_count_errors(self):
+        with pytest.raises(MatrixFormatError, match="empty input"):
+            load_matrix(" \n, \t")
+        with pytest.raises(MatrixFormatError, match="point count, got '2.0'"):
+            load_matrix("2.0\n0 1\n1 0")
+        with pytest.raises(MatrixFormatError, match="must be >= 1, got 0"):
+            load_matrix("0\n")
+        with pytest.raises(MatrixFormatError, match=r"expected 4 values .* got 5"):
+            load_matrix("2\n0 1\n1 0 7")
+
+    def test_point_count_too_large_for_memory(self):
+        # the values are counted without a matrix to store them in
+        with pytest.raises(MatrixFormatError, match=r"expected 1000000000000000000000000 .* got 2"):
+            load_matrix("1000000000000\n1 2")
+
+
+def _reference_load(text, eps=0.0):
+    """Whole-text parse and whole-matrix checks, the loader's reference:
+    split() and float() on every token, the lower triangle filled by a
+    double loop, each check run over the full matrix."""
+    tokens = text.replace(",", " ").split()
+    if not tokens:
+        raise MatrixFormatError("empty input")
+    try:
+        n = int(tokens[0])
+    except ValueError:
+        raise MatrixFormatError(f"first token must be the point count, got {tokens[0]!r}")
+    if n < 1:
+        raise MatrixFormatError(f"point count must be >= 1, got {n}")
+    vals = []
+    for k, t in enumerate(tokens[1:]):
+        try:
+            vals.append(float(t))
+        except ValueError:
+            raise MatrixFormatError(f"non-numeric entry {t!r} at value {k + 1} after n")
+    full, tri = n * n, n * (n - 1) // 2
+    if len(vals) == full:
+        arr = np.array(vals).reshape(n, n)
+    elif len(vals) == tri:
+        arr = np.zeros((n, n))
+        k = 0
+        for i in range(1, n):
+            for j in range(i):
+                arr[i, j] = arr[j, i] = vals[k]
+                k += 1
+    else:
+        raise MatrixFormatError(
+            f"expected {full} values (full) or {tri} (lower triangle) after"
+            f" n={n}, got {len(vals)}"
+        )
+    if not np.all(np.isfinite(arr)):
+        i, j = np.argwhere(~np.isfinite(arr))[0]
+        raise MatrixFormatError(f"non-finite entry at ({i},{j})")
+    asym = np.abs(arr - arr.T)
+    if asym.max(initial=0.0) > eps:
+        i, j = np.unravel_index(np.argmax(asym), asym.shape)
+        raise MatrixFormatError(f"asymmetric entries at ({i},{j}): {arr[i, j]} vs {arr[j, i]}")
+    diag = np.abs(np.diagonal(arr))
+    if diag.max(initial=0.0) > 0:
+        i = int(np.argmax(diag))
+        raise MatrixFormatError(f"nonzero diagonal at ({i},{i}): {arr[i, i]}")
+    off = ~np.eye(n, dtype=bool)
+    if ((arr < 0) & off).any():
+        i, j = np.argwhere((arr < 0) & off)[0]
+        raise MatrixFormatError(f"negative entry at ({i},{j}): {arr[i, j]}")
+    if ((arr <= 0) & off).any():
+        i, j = np.argwhere((arr <= 0) & off)[0]
+        raise MatrixFormatError(
+            f"zero off-diagonal entry at ({i},{j}): distinct points must have"
+            " positive dissimilarity"
+        )
+    return arr
+
+
+def _outcome(load, text, eps):
+    """The loaded values as bytes (bit-exact), or the error message."""
+    try:
+        out = load(text, eps)
+    except MatrixFormatError as exc:
+        return "error", str(exc)
+    values = out.values if hasattr(out, "values") else out
+    return "ok", values.tobytes()
+
+
+def _render(vals, n, lower, rng):
+    """Matrix text with mixed separators: spaces, tabs, commas, CRLF line
+    ends, and sometimes no final newline."""
+    rows = [vals[i, :i] for i in range(1, n)] if lower else list(vals)
+    seps = [" ", "\t", ",", " , ", "  "]
+    lines = [str(n)]
+    for row in rows:
+        sep = seps[int(rng.integers(len(seps)))]
+        lines.append(sep.join(repr(float(v)) for v in row))
+    eol = "\r\n" if rng.random() < 0.5 else "\n"
+    text = eol.join(lines)
+    return text if rng.random() < 0.3 else text + eol
+
+
+def _planted(rng, n):
+    """A random valid matrix, or one with faults planted at random places,
+    ties of the largest asymmetry included."""
+    vals = np.triu(rng.uniform(0.5, 3.0, size=(n, n)).round(3), 1)
+    vals = vals + vals.T
+    for _ in range(int(rng.integers(0, 4))):
+        i, j = (int(v) for v in rng.integers(0, n, size=2))
+        kind = int(rng.integers(0, 7))
+        if kind == 0:
+            vals[i, j] = np.nan
+        elif kind == 1:
+            vals[i, j] = -np.inf if rng.random() < 0.5 else np.inf
+        elif kind in (2, 3):  # one-sided change; a fixed size makes ties
+            vals[i, j] += 0.25 if kind == 2 else float(rng.uniform(0, 1))
+        elif kind == 4:
+            vals[i, j] = vals[j, i] = -float(rng.uniform(0.1, 1))
+        elif kind == 5:
+            vals[i, j] = vals[j, i] = 0.0
+        else:
+            vals[i, i] = float(rng.uniform(0, 1))
+    return vals
+
+
+class TestStreamedLoad:
+    """load_matrix against _reference_load with tiny chunks and bands, so
+    tokens are cut by chunk boundaries and checks span several bands."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    @pytest.mark.parametrize("band", ["one", "all"])
+    def test_matches_reference(self, monkeypatch, chunk, band):
+        import circrob.core as core
+
+        rng = np.random.default_rng(1000 * chunk + len(band))
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        checked = {"ok": 0, "error": 0}
+        for trial in range(60):
+            n = int(rng.integers(1, 9))
+            monkeypatch.setattr(core, "_BAND", 1 if band == "one" else n)
+            vals = _planted(rng, n)
+            lower = n > 1 and rng.random() < 0.4
+            if lower:
+                # format B carries only the lower triangle; plant there
+                vals = np.where(np.tri(n, k=-1, dtype=bool), vals, vals.T)
+                np.fill_diagonal(vals, 0.0)
+            text = _render(vals, n, lower, rng)
+            eps = 0.3 if trial % 5 == 0 else 0.0
+            want = _outcome(_reference_load, text, eps)
+            assert _outcome(load_matrix, text, eps) == want, text
+            assert _outcome(load_matrix, io.StringIO(text), eps) == want, text
+            checked[want[0]] += 1
+        assert checked["ok"] and checked["error"]
+
+    @pytest.mark.parametrize("chunk", [1, 2, 7])
+    def test_bad_tokens_located(self, monkeypatch, chunk):
+        import circrob.core as core
+
+        monkeypatch.setattr(core, "_CHUNK", chunk)
+        base = "3\n0 1 2\n1 0 1\n2 1 0"
+        tokens = base.split()
+        for k in range(1, len(tokens)):
+            for bad in ("x", "1.2.3", "0x10", "--1"):
+                text = " ".join(tokens[:k] + [bad] + tokens[k + 1 :])
+                want = _outcome(_reference_load, text, 0.0)
+                assert want[0] == "error"
+                assert _outcome(load_matrix, text, 0.0) == want
+        for text in ("", " \n ", "x 1", "2.5 0", "-3 1", "0", "3\n1 2", "2\n0 1 1 0 0"):
+            assert _outcome(load_matrix, text, 0.0) == _outcome(_reference_load, text, 0.0)
+
+    @pytest.mark.parametrize("band", [1, 3, 64])
+    def test_validator_bands(self, monkeypatch, band):
+        import circrob.core as core
+
+        monkeypatch.setattr(core, "_BAND", band)
+        rng = np.random.default_rng(band)
+        for _ in range(80):
+            n = int(rng.integers(1, 12))
+            vals = _planted(rng, n)
+            text = _render(vals, n, False, rng)
+            assert _outcome(DissimilarityMatrix, vals, 0.0) == _outcome(
+                _reference_load, text, 0.0
+            )
+
+    def test_largest_asymmetry_first_in_row_order(self, monkeypatch):
+        import circrob.core as core
+
+        monkeypatch.setattr(core, "_BAND", 2)
+        vals = np.ones((6, 6)) - np.eye(6)
+        vals[4, 1] += 0.5  # tie: (1,4) comes first in row-major order
+        vals[5, 3] += 0.5
+        vals[0, 2] += 0.25
+        with pytest.raises(MatrixFormatError, match=r"at \(1,4\): 1.0 vs 1.5"):
+            DissimilarityMatrix(vals)
+
+    def test_str_and_handle_bit_identical(self, tmp_path):
+        rng = np.random.default_rng(7)
+        vals = np.triu(rng.random((40, 40)) + 0.1, 1)
+        vals = vals + vals.T
+        path = tmp_path / "m.txt"
+        path.write_text(_render(vals, 40, False, rng))
+        with open(path) as fh:
+            from_handle = load_matrix(fh).values
+        from_str = load_matrix(path.read_text()).values
+        assert from_handle.tobytes() == from_str.tobytes() == vals.tobytes()
+
+
+class TestLoadMemory:
+    @pytest.mark.parametrize("lower", [False, True])
+    def test_peak_at_most_twice_the_matrix(self, tmp_path, lower):
+        import tracemalloc
+
+        from circrob import circle_instance
+
+        n = 600
+        V = circle_instance(n, "chord").values
+        path = tmp_path / "m.txt"
+        with open(path, "w") as fh:
+            fh.write(f"{n}\n")
+            for i in range(n):
+                row = V[i, :i] if lower else V[i]
+                fh.write(" ".join(map(repr, row.tolist())) + "\n")
+        tracemalloc.start()
+        try:
+            with open(path) as fh:
+                D = load_matrix(fh)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(D.values, V)
+        assert peak <= 2 * V.nbytes, peak / V.nbytes
+
+
+class TestNoCopy:
+    def test_constructor_always_copies(self):
+        owner = np.ones((3, 3)) - np.eye(3)
+        view = owner[:]  # a writeable alias taken before the owner is frozen
+        owner.flags.writeable = False
+        buffer = memoryview(bytearray(owner.tobytes())).toreadonly()
+        for arr in (owner, owner[:], np.asfortranarray(owner), owner.astype(np.float32),
+                    np.frombuffer(buffer).reshape(3, 3)):
+            D = DissimilarityMatrix(arr)
+            assert not np.shares_memory(D.values, arr)
+            assert not D.values.flags.writeable and D.values.flags.c_contiguous
+        D = DissimilarityMatrix(owner)
+        view[0, 1] = 5.0
+        assert D.values[0, 1] == 1.0
+
+    def test_adopt_keeps_float64_c_array(self):
+        arr = np.ones((3, 3)) - np.eye(3)
+        assert DissimilarityMatrix._adopt(arr).values is arr
+        assert not arr.flags.writeable
+        for other in (np.asfortranarray(arr), arr.astype(np.float32)):
+            D = DissimilarityMatrix._adopt(other)
+            assert D.values.dtype == np.float64 and D.values.flags.c_contiguous
+            assert np.array_equal(D.values, arr)
+        with pytest.raises(MatrixFormatError, match="asymmetric"):
+            DissimilarityMatrix._adopt(np.array([[0.0, 1.0], [2.0, 0.0]]))
 
 
 class TestCanonicalize:

@@ -168,6 +168,13 @@ class TestFindCompatibleOrder:
         with pytest.warns(TieWarning):
             find_compatible_order(EQ5)
 
+    @pytest.mark.parametrize("entry", [find_compatible_order, compatible_orders])
+    def test_tie_warning_points_at_caller(self, entry):
+        EQ5 = DissimilarityMatrix(np.ones((5, 5)) - np.eye(5))
+        with pytest.warns(TieWarning) as record:
+            entry(EQ5)
+        assert {w.filename for w in record} == {__file__}
+
 
 class TestCompatibleOrders:
     def test_fixture_strict_quasi(self, fixture4):
@@ -218,7 +225,7 @@ class TestCandidateReports:
     def test_recognize_verifies_each_candidate_once(self, space, tmp_path, monkeypatch):
         import circrob.cli
         import circrob.recognition
-        from circrob.cli import _matrix_text, main
+        from circrob.cli import _write_matrix, main
 
         calls = []
 
@@ -227,7 +234,7 @@ class TestCandidateReports:
             return verify(*args, **kwargs)
 
         path = tmp_path / "d.txt"
-        path.write_text(_matrix_text(space))
+        _write_matrix(space, path)
         for module in (circrob.cli, circrob.recognition):
             monkeypatch.setattr(module, "verify", counting_verify)
         main(["recognize", "--input", str(path), "--json"])
