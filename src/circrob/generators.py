@@ -111,7 +111,7 @@ def circle_instance(
         if not (np.diff(arr) > 0).all():
             raise ValueError("angles must be strictly increasing")
         values = _angle_circle_values(arr, metric)
-    return DissimilarityMatrix(values)
+    return DissimilarityMatrix._adopt(values)
 
 
 def two_cluster_instance(k: int, l: int, seed: int = 0) -> DissimilarityMatrix:
@@ -160,7 +160,7 @@ def perturb(D: DissimilarityMatrix, epsilon: float, seed: int = 0) -> Dissimilar
         jittered = np.maximum(values[iu] + noise, PERTURB_FLOOR)
         values[iu] = jittered
         values.T[iu] = jittered
-    return DissimilarityMatrix(values)
+    return DissimilarityMatrix._adopt(values)
 
 
 def counterexample_fixture() -> DissimilarityMatrix:

@@ -185,28 +185,12 @@ def _dist_sorted(
     if points.size <= 1:
         return points
     k = key[points]
-    srt = np.lexsort((points, -k if descending else k))
+    last = points == force_last
+    srt = np.lexsort((points, last, -k if descending else k))
     out = points[srt]
     ks = k[srt]
-    if force_last is not None:
-        pos = np.flatnonzero(out == force_last)
-        if pos.size:
-            p = int(pos[0])
-            g0 = p
-            while g0 > 0 and ks[g0 - 1] == ks[p]:
-                g0 -= 1
-            g1 = p
-            while g1 + 1 < out.size and ks[g1 + 1] == ks[p]:
-                g1 += 1
-            if g1 > g0:
-                grp = [int(q) for q in out[g0 : g1 + 1] if q != force_last]
-                out = np.concatenate(
-                    [out[:g0], np.array(grp + [force_last], dtype=out.dtype), out[g1 + 1 :]]
-                )
-    eq = ks[1:] == ks[:-1]
-    if force_last is not None and eq.any():
-        fl = out == force_last
-        eq = eq & ~(fl[1:] | fl[:-1])
+    fl = last[srt]
+    eq = (ks[1:] == ks[:-1]) & ~(fl[1:] | fl[:-1])
     if eq.any():
         warnings.warn(
             "equal distance keys while ordering points; instance may not be strict",

@@ -34,7 +34,7 @@ __all__ = [
     "verify",
 ]
 
-_BLOCK = 512
+_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -152,9 +152,11 @@ def _scan_block(
     first_fall = np.where(fall.any(axis=1), fall.argmax(axis=1), L)
     last_rise = np.where(rise.any(axis=1), (L - 2) - rise[:, ::-1].argmax(axis=1), -1)
     w_ok = ~(first_fall < last_rise)
-    bad_rise = ((diffs <= eps) & (didx[None, :] < pf[:, None])).any(axis=1)
-    bad_fall = ((diffs >= -eps) & (didx[None, :] >= pl[:, None])).any(axis=1)
-    s_ok = (cnt <= 2) & ((pl - pf) == (cnt - 1)) & ~bad_rise & ~bad_fall
+    # strict steps: every step before the plateau rises, every step from its
+    # last entry on falls
+    bad = ((diffs <= eps) & (didx < pf[:, None])) | ((diffs >= -eps) & (didx >= pl[:, None]))
+    narrow = (cnt <= 2) & ((pl - pf) == (cnt - 1))
+    s_ok = narrow & ~bad.any(axis=1)
     scan.weak_ok[sl] = w_ok
     scan.strict_ok[sl] = s_ok
     if scan.weak_violation is None and not w_ok.all():
@@ -164,14 +166,11 @@ def _scan_block(
     if scan.strict_violation is None and not s_ok.all():
         b = int(np.flatnonzero(~s_ok)[0])
         point = int(order_arr[start + b])
-        if cnt[b] > 2 or (pl[b] - pf[b]) != (cnt[b] - 1):
-            pos = (int(pf[b]), int(pl[b]))
-        else:
-            offending = np.flatnonzero(
-                ((diffs[b] <= eps) & (didx < pf[b])) | ((diffs[b] >= -eps) & (didx >= pl[b]))
-            )
-            i = int(offending[0])
+        if narrow[b]:
+            i = int(bad[b].argmax())
             pos = (i, i + 1)
+        else:
+            pos = (int(pf[b]), int(pl[b]))
         scan.strict_violation = (point, pos)
 
 
@@ -245,89 +244,38 @@ def _crossing_from_scan(
     n = scan.n
     if n < 4:
         return None
-    # Cut coordinates relative to each point: the farthest arc of the point at
-    # position p spans offsets S[p]..E[p] in 1..n-1 after cutting the cycle at p.
-    S = scan.s_off
-    E = scan.e_off
-    qp = np.arange(1, n)
-    for p in range(n):
-        qpos = (p + qp) % n
-        Sq = S[qpos]
-        Eq = E[qpos]
-        if strict:
-            pat1 = (S[p] < qp) & (Sq < n - qp)
-            pat2 = (Eq > n - qp) & (E[p] > qp)
-        else:
-            y_in_Fx = _in_arc(qp, S[p], E[p])
-            x_in_Fy = _in_arc(n - qp, Sq, Eq)
-            pair_ok = ~y_in_Fx & ~x_in_Fy
-            # Pattern 1 needs x' in F_x strictly between x and y with x' not in
-            # F_y, and y' in F_y strictly between y and x with y' not in F_x.
-            # The candidate extremities of each intersection suffice: if both
-            # lie in the other farthest arc, the whole intersection does.
-            c1a = np.full(n - 1, S[p])
-            c1b = np.minimum(E[p], qp - 1)
-            x1ok = (S[p] < qp) & (
-                ~_in_arc((c1a - qp) % n, Sq, Eq) | ~_in_arc((c1b - qp) % n, Sq, Eq)
-            )
-            d1a = Sq
-            d1b = np.minimum(Eq, n - qp - 1)
-            y1ok = (Sq < n - qp) & (
-                ~_in_arc((d1a + qp) % n, S[p], E[p]) | ~_in_arc((d1b + qp) % n, S[p], E[p])
-            )
-            pat1 = pair_ok & x1ok & y1ok
-            c2a = np.full(n - 1, E[p])
-            c2b = np.maximum(S[p], qp + 1)
-            x2ok = (E[p] > qp) & (
-                ~_in_arc((c2a - qp) % n, Sq, Eq) | ~_in_arc((c2b - qp) % n, Sq, Eq)
-            )
-            d2a = Eq
-            d2b = np.maximum(Sq, n - qp + 1)
-            y2ok = (Eq > n - qp) & (
-                ~_in_arc((d2a + qp) % n, S[p], E[p]) | ~_in_arc((d2b + qp) % n, S[p], E[p])
-            )
-            pat2 = pair_ok & x2ok & y2ok
-
+    # Offsets relative to each point: the farthest arc of the point at
+    # position p spans offsets S[p]..E[p] in 1..n-1 after cutting the cycle
+    # at p.  Row b of a block is the point x at position start+b, column j the
+    # point y at offset t = j+1 from it; x then sits at offset n-t from y.
+    # Pattern x<x'<y<y' takes the near arc ends as x', y', pattern x<y'<y<x'
+    # the far ones.  The non-strict mode also needs x and y outside each
+    # other's arc; x' and y' then are too, since an arc reaching one of them
+    # would pass over x or y.
+    S, E = scan.s_off, scan.e_off
+    t = np.arange(1, n)
+    for start in range(0, n, _BLOCK):
+        P = np.arange(start, min(start + _BLOCK, n))[:, None]
+        Q = (P + t) % n
+        sx, ex, sy, ey = S[P], E[P], S[Q], E[Q]
+        pat1 = (sx < t) & (sy < n - t)
+        pat2 = (ex > t) & (ey > n - t)
+        if not strict:
+            pair_ok = ~_in_arc(t, sx, ex) & ~_in_arc(n - t, sy, ey)
+            pat1 &= pair_ok
+            pat2 &= pair_ok
         hits = pat1 | pat2
         if not hits.any():
             continue
-        j = int(np.flatnonzero(hits)[0])
-        q = int(qpos[j])
-        qv = j + 1
-        x = int(order_arr[p])
-        y = int(order_arr[q])
-        if pat1[j]:
-            if strict:
-                xc, yc = int(S[p]), int(S[q])
-            else:
-                xc = int(S[p]) if not _in_arc((S[p] - qv) % n, S[q], E[q]) else int(
-                    min(E[p], qv - 1)
-                )
-                yc = int(S[q]) if not _in_arc((S[q] + qv) % n, S[p], E[p]) else int(
-                    min(E[q], n - qv - 1)
-                )
-            return CrossingWitness(
-                x=x,
-                y=y,
-                x_prime=int(order_arr[(p + xc) % n]),
-                y_prime=int(order_arr[(q + yc) % n]),
-                pattern="x<x'<y<y'",
-            )
-        if strict:
-            xc, yc = int(E[p]), int(E[q])
-        else:
-            xc = int(E[p]) if not _in_arc((E[p] - qv) % n, S[q], E[q]) else int(
-                max(S[p], qv + 1)
-            )
-            yc = int(E[q]) if not _in_arc((E[q] + qv) % n, S[p], E[p]) else int(
-                max(S[q], n - qv + 1)
-            )
+        b, j = divmod(int(hits.argmax()), n - 1)
+        p, q = start + b, int(Q[b, j])
+        ends, pattern = (S, "x<x'<y<y'") if pat1[b, j] else (E, "x<y'<y<x'")
         return CrossingWitness(
-            x=x,
-            y=y,
-            x_prime=int(order_arr[(p + xc) % n]),
-            y_prime=int(order_arr[(q + yc) % n]),
-            pattern="x<y'<y<x'",
+            x=int(order_arr[p]),
+            y=int(order_arr[q]),
+            x_prime=int(order_arr[(p + ends[p]) % n]),
+            y_prime=int(order_arr[(q + ends[q]) % n]),
+            pattern=pattern,
         )
     return None
 

@@ -60,6 +60,21 @@ class TestCircleInstance:
                 rep = verify(circle_instance(n, metric), canonicalize(range(n)))
                 assert rep.quasi and rep.strict_quasi and rep.circular and rep.strict_circular
 
+    def test_matrix_built_in_place(self, monkeypatch):
+        # the generator's own array becomes the matrix: no second n x n copy
+        import tracemalloc
+
+        from circrob import generators
+
+        monkeypatch.setattr(generators, "_BLOCK", 64)
+        tracemalloc.start()
+        try:
+            D = circle_instance(1500, "chord")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * D.values.nbytes
+
 
 class TestTwoClusterInstance:
     def test_minimal_collapses_to_two_order_pattern(self):
@@ -103,6 +118,12 @@ class TestPerturb:
         assert np.array_equal(P.values, P.values.T)
         off = P.values[~np.eye(5, dtype=bool)]
         assert (off > 0).all()
+
+    def test_input_untouched_and_output_frozen(self, circle5):
+        before = circle5.values.copy()
+        P = perturb(circle5, 0.3, seed=2)
+        assert np.array_equal(circle5.values, before)
+        assert not P.values.flags.writeable
 
     def test_negative_epsilon_rejected(self, circle5):
         with pytest.raises(ValueError):

@@ -176,6 +176,30 @@ class TestFindCompatibleOrder:
         assert {w.filename for w in record} == {__file__}
 
 
+class TestDistSorted:
+    # the far arc extremity goes behind its exact-tie group, and a tie with it
+    # alone does not warn
+    def test_force_last_behind_its_tie_group(self):
+        from circrob.recognition import _dist_sorted
+
+        pts = np.arange(6)
+        key = np.array([1.0, 1.0, 0.5, 1.0, 3.0, 2.0])
+        with pytest.warns(TieWarning):
+            assert _dist_sorted(pts, key, force_last=0).tolist() == [2, 1, 3, 0, 5, 4]
+        with pytest.warns(TieWarning):
+            out = _dist_sorted(pts, key, descending=True, force_last=0)
+        assert out.tolist() == [4, 5, 1, 3, 0, 2]
+
+    def test_tie_with_force_last_only_is_silent(self):
+        from circrob.recognition import _dist_sorted
+
+        key = np.array([1.0, 1.0, 0.5, 2.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _dist_sorted(np.arange(4), key, force_last=0).tolist() == [2, 1, 0, 3]
+            assert _dist_sorted(np.array([1, 2, 3]), key, force_last=0).tolist() == [2, 1, 3]
+
+
 class TestCompatibleOrders:
     def test_fixture_strict_quasi(self, fixture4):
         s = compatible_orders(fixture4, "strict-quasi")

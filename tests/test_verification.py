@@ -9,10 +9,12 @@ from circrob import (
     canonicalize,
     crossing_violation,
     enumerate_circular_orders,
+    farthest_set,
     is_linear_robinson,
     is_strictly_unimodal,
     is_unimodal,
     load_matrix,
+    pre_circular_by_quadruples,
     quasi_circular_by_quadruples,
     verify,
 )
@@ -85,7 +87,7 @@ class TestCrossingViolation:
     def test_witness_chain_is_real(self):
         # whenever a witness comes back, its four points sit in the claimed
         # cyclic pattern and really are farthest neighbors
-        from circrob import chain_holds, farthest_set
+        from circrob import chain_holds
 
         rng = np.random.default_rng(4242)
         found = 0
@@ -210,7 +212,7 @@ class TestVerify:
 
 
 def test_block_size_invariance(monkeypatch):
-    # One block covering every row gives the same scan and reports as 512-row
+    # One block covering every row gives the same scan and reports as 64-row
     # blocks: the first violation in position order wins when several blocks
     # have one, and every block writes its rows of the per-position arrays.
     from circrob import circle_instance, find_compatible_order, perturb
@@ -234,7 +236,7 @@ def test_block_size_invariance(monkeypatch):
             out.append((verify(M, o), fields))
         return out
 
-    assert verification._BLOCK == 512
+    assert verification._BLOCK == 64
     blocked = reports()
     monkeypatch.setattr(verification, "_BLOCK", 1500)
     assert reports() == blocked
@@ -298,3 +300,142 @@ def test_arc_restriction_matches_arc_between(fixture4):
     other = arc_between(order, 3, 0).sequence
     assert set(one) | set(other) == {0, 1, 2, 3}
     assert is_linear_robinson(fixture4, one) or is_linear_robinson(fixture4, other)
+
+
+def _quantised_circle(rng, n):
+    # arc distances on a random circle, rounded up to one of q levels
+    q = int(rng.integers(2, 7))
+    a = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    d = np.abs(a[:, None] - a[None, :])
+    v = np.ceil(np.minimum(d, 2 * np.pi - d) * q / np.pi)
+    np.fill_diagonal(v, 0.0)
+    return v
+
+
+def _ellipse(rng, n):
+    # Euclidean distances on an ellipse, exact or rounded up to q levels:
+    # rows are often unimodal while farthest arcs of nearby points cross
+    t = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+    pts = np.stack([np.cos(t), rng.uniform(0.2, 1.0) * np.sin(t)], axis=1)
+    v = np.sqrt(((pts[:, None] - pts[None, :]) ** 2).sum(axis=-1))
+    if rng.random() < 0.5:
+        v = np.ceil(v * int(rng.integers(2, 7)) / v.max())
+        np.fill_diagonal(v, 0.0)
+    return v
+
+
+def _first_crossing(D, order, strict):
+    """First pair (x, y) in position order, then pattern, straight from
+    farthest_set, pair by pair; x' and y' are the qualifying farthest
+    neighbors nearest to x and to y."""
+    seq = order.seq
+    n = len(seq)
+    far = [farthest_set(D, x)[1] for x in range(n)]
+    for p in range(n):
+        for t in range(1, n):
+            x, y = seq[p], seq[(p + t) % n]
+            xy = [seq[(p + k) % n] for k in range(1, t)]
+            yx = [seq[(p + k) % n] for k in range(t + 1, n)]
+            fx, fy = far[x], far[y]
+            if not strict and (x in fy or y in fx):
+                continue
+            # each side listed outward from the point whose neighbor it holds
+            for pattern, x_side, y_side in (
+                ("x<x'<y<y'", xy, yx),
+                ("x<y'<y<x'", yx[::-1], xy[::-1]),
+            ):
+                xs = [a for a in x_side if a in fx and (strict or a not in fy)]
+                ys = [b for b in y_side if b in fy and (strict or b not in fx)]
+                if xs and ys:
+                    return x, y, xs[0], ys[0], pattern
+    return None
+
+
+class TestMidSizeDifferential:
+    """verify against the quadruple definitions at n = 9..14, eps = 0."""
+
+    MINIMUMS = {"quasi_not_circular": 20, "strict_quasi": 20, "strict_not_circular": 15}
+
+    def test_flags_and_witnesses_match_definitions(self, monkeypatch):
+        rng = np.random.default_rng(90210)
+        seen = dict.fromkeys(self.MINIMUMS, 0)
+        drawn = 0
+        while any(seen[k] < m for k, m in self.MINIMUMS.items()):
+            drawn += 1
+            assert drawn <= 3000, seen
+            n = int(rng.integers(9, 15))
+            D = DissimilarityMatrix(
+                (_quantised_circle if rng.random() < 0.5 else _ellipse)(rng, n)
+            )
+            seq = list(range(n))
+            for _ in range(int(rng.integers(0, 3))):
+                k = int(rng.integers(n - 1))
+                seq[k], seq[k + 1] = seq[k + 1], seq[k]
+            order = canonicalize(seq)
+
+            rep = verify(D, order)
+            assert (rep.quasi, rep.strict_quasi, rep.circular, rep.strict_circular) == (
+                quasi_circular_by_quadruples(D, order, False),
+                quasi_circular_by_quadruples(D, order, True),
+                pre_circular_by_quadruples(D, order, False),
+                pre_circular_by_quadruples(D, order, True),
+            ), (D.values.tolist(), seq)
+
+            for strict, unimodal, circular in (
+                (False, rep.quasi, rep.circular),
+                (True, rep.strict_quasi, rep.strict_circular),
+            ):
+                if not unimodal or circular:
+                    continue
+                w = rep.witnesses["strict_circular" if strict else "circular"]
+                assert (w.x, w.y, w.x_prime, w.y_prime, w.pattern) == _first_crossing(
+                    D, order, strict
+                )
+
+            for block in (1, 3):
+                monkeypatch.setattr(verification, "_BLOCK", block)
+                assert verify(D, order).to_json_dict() == rep.to_json_dict()
+            monkeypatch.undo()
+
+            seen["quasi_not_circular"] += rep.quasi and not rep.circular
+            seen["strict_quasi"] += rep.strict_quasi
+            seen["strict_not_circular"] += rep.strict_quasi and not rep.strict_circular
+
+
+# eps > 0: the row scan applies eps to neighbouring entries of a row, while
+# qcr and the definitions apply it to every pair, so verify accepts orders
+# the definitions reject.
+_EPS_QUASI = (
+    [
+        [0, 1.101, 1.287, 2.267, 2.035],
+        [1.101, 0, 0.707, 0.83, 2.055],
+        [1.287, 0.707, 0, 0.966, 0.964],
+        [2.267, 0.83, 0.966, 0, 1.161],
+        [2.035, 2.055, 0.964, 1.161, 0],
+    ],
+    (0, 1, 2, 4, 3),
+)
+_EPS_CIRCULAR = (
+    [
+        [0, 2.112, 1.749, 1.896, 1.143, 1.214],
+        [2.112, 0, 0.799, 2.283, 1.862, 2.073],
+        [1.749, 0.799, 0, 2.211, 2.268, 1.997],
+        [1.896, 2.283, 2.211, 0, 1.893, 2.255],
+        [1.143, 1.862, 2.268, 1.893, 0, 1.021],
+        [1.214, 2.073, 1.997, 2.255, 1.021, 0],
+    ],
+    (0, 4, 3, 2, 1, 5),
+)
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True, reason="eps is applied to neighbouring row entries only"
+)
+@pytest.mark.parametrize("rows, seq", [_EPS_QUASI, _EPS_CIRCULAR], ids=["quasi", "circular"])
+def test_positive_eps_matches_definitions(rows, seq):
+    D, order, eps = DissimilarityMatrix(rows), canonicalize(seq), 0.31
+    rep = verify(D, order, eps)
+    assert (rep.quasi, rep.circular) == (
+        quasi_circular_by_quadruples(D, order, False, eps),
+        pre_circular_by_quadruples(D, order, False, eps),
+    )
