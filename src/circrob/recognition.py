@@ -36,6 +36,8 @@ __all__ = [
     "bipartition_criterion",
 ]
 
+_BLOCK = 64
+
 STRICT_QUASI = "strict-quasi"
 STRICT_CIRCULAR = "strict-circular"
 
@@ -306,7 +308,10 @@ def bipartition_criterion(
     if n < 4:
         return None
     v = D.values
-    i, j = np.unravel_index(int(np.argmax(v)), v.shape)
+    # the first maximum in row-major order, without np.argmax(v), which
+    # copies a read-only matrix
+    i = int(np.argmax(v.max(axis=1)))
+    j = int(np.argmax(v[i]))
     a = v[:, i]
     b = v[:, j]
     near_i = (a - b) < -eps
@@ -317,8 +322,15 @@ def bipartition_criterion(
         return None
     N = np.flatnonzero(near_i)
     F = np.flatnonzero(near_j)
-    intra = max(v[np.ix_(N, N)].max(), v[np.ix_(F, F)].max())
-    cross = v[np.ix_(N, F)].min()
+    # the intra-cluster maximum and the cross-cluster minimum, over bands of
+    # _BLOCK rows so that no n^2 block is copied
+    intra, cross = -np.inf, np.inf
+    for start in range(0, N.size, _BLOCK):
+        band = v[N[start : start + _BLOCK]]
+        intra = max(intra, band[:, N].max())
+        cross = min(cross, band[:, F].min())
+    for start in range(0, F.size, _BLOCK):
+        intra = max(intra, v[F[start : start + _BLOCK]][:, F].max())
     if cross - intra <= eps:
         return None
     return (

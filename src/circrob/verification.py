@@ -10,8 +10,11 @@ any pair x, y with farthest neighbors x', y' arranged as x < x' < y < y' or
 x < y' < y < x' around the cycle (the farthest arcs must interleave).  In the
 non-strict mode a witness only counts when x, x' avoid F_y and y, y' avoid
 F_x.  The farthest set of every point is an arc of the order whenever the
-matrix is unimodal, so the witness search works on arc extremities and costs
-O(1) per pair.
+matrix is unimodal, so the witness search works on the arc extremities S and
+E alone: per position p it is one range minimum of the keys u + S[u mod n]
+(or u + E) over a window of the unrolled cycle u in [0, 2n), answered for all
+p at once by a sparse table in O(n log n).  ``verify`` thus costs one O(n^2)
+row scan plus O(n log n).
 """
 
 from __future__ import annotations
@@ -238,6 +241,25 @@ def _in_arc(coord, lo, hi):
     return (lo <= coord) & (coord <= hi)
 
 
+def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(keys[lo[i]..hi[i]]) for every i, the largest intp where the range
+    is empty, from a sparse table of log2 levels (Bender & Farach-Colton)."""
+    empty = hi < lo
+    lo = np.where(empty, 0, lo)
+    length = np.where(empty, 1, hi - lo + 1)
+    k = np.frexp(length)[1] - 1  # floor(log2(length)), exact for integers
+    m = keys.size
+    table = np.empty((int(k.max()) + 1, m), dtype=keys.dtype)
+    table[0] = keys
+    for j in range(1, table.shape[0]):
+        h = 1 << (j - 1)
+        c = m - 2 * h + 1  # windows of 2h entries that fit
+        np.minimum(table[j - 1, :c], table[j - 1, h : h + c], out=table[j, :c])
+    out = np.minimum(table[k, lo], table[k, lo + length - (1 << k)])
+    out[empty] = np.iinfo(out.dtype).max
+    return out
+
+
 def _crossing_from_scan(
     order_arr: np.ndarray, scan: _RowScan, strict: bool
 ) -> Optional[CrossingWitness]:
@@ -246,38 +268,46 @@ def _crossing_from_scan(
         return None
     # Offsets relative to each point: the farthest arc of the point at
     # position p spans offsets S[p]..E[p] in 1..n-1 after cutting the cycle
-    # at p.  Row b of a block is the point x at position start+b, column j the
-    # point y at offset t = j+1 from it; x then sits at offset n-t from y.
-    # Pattern x<x'<y<y' takes the near arc ends as x', y', pattern x<y'<y<x'
-    # the far ones.  The non-strict mode also needs x and y outside each
-    # other's arc; x' and y' then are too, since an arc reaching one of them
-    # would pass over x or y.
+    # at p.  On the unrolled axis u = p + t, the point y at offset t sees x
+    # at offset n - t, so "S[y] < n - t" reads "u + S[u mod n] < p + n".
+    # Strict pattern 1 asks that of the partners past x's near end S[p],
+    # strict pattern 2 the mirror image on the far ends (a maximum, taken as
+    # the minimum of negated keys).  The non-strict mode keeps only pairs
+    # with x and y outside each other's arc, which swaps the ends: pattern 1
+    # then runs past E[p] on keys u + E, pattern 2 up to S[p] on keys u + S.
     S, E = scan.s_off, scan.e_off
+    pos = np.arange(n)
+    u = np.arange(2 * n)
+    a, b = (S, E) if strict else (E, S)
+    hits = _range_min(u + np.tile(a, 2), pos + a + 1, pos + n - 1) < pos + n
+    hits |= _range_min(-(u + np.tile(b, 2)), pos + 1, pos + b - 1) < -(pos + n)
+    if not hits.any():
+        return None
+    # The first hit row gets the pairwise rule, for the first partner y at
+    # offset t and its pattern: near arc ends for x<x'<y<y', far ones for
+    # x<y'<y<x', and in the non-strict mode x and y outside each other's arc
+    # (x' and y' then are too, since an arc reaching one of them would pass
+    # over x or y).
+    px = int(hits.argmax())
     t = np.arange(1, n)
-    for start in range(0, n, _BLOCK):
-        P = np.arange(start, min(start + _BLOCK, n))[:, None]
-        Q = (P + t) % n
-        sx, ex, sy, ey = S[P], E[P], S[Q], E[Q]
-        pat1 = (sx < t) & (sy < n - t)
-        pat2 = (ex > t) & (ey > n - t)
-        if not strict:
-            pair_ok = ~_in_arc(t, sx, ex) & ~_in_arc(n - t, sy, ey)
-            pat1 &= pair_ok
-            pat2 &= pair_ok
-        hits = pat1 | pat2
-        if not hits.any():
-            continue
-        b, j = divmod(int(hits.argmax()), n - 1)
-        p, q = start + b, int(Q[b, j])
-        ends, pattern = (S, "x<x'<y<y'") if pat1[b, j] else (E, "x<y'<y<x'")
-        return CrossingWitness(
-            x=int(order_arr[p]),
-            y=int(order_arr[q]),
-            x_prime=int(order_arr[(p + ends[p]) % n]),
-            y_prime=int(order_arr[(q + ends[q]) % n]),
-            pattern=pattern,
-        )
-    return None
+    q = (px + t) % n
+    sx, ex, sy, ey = S[px], E[px], S[q], E[q]
+    pat1 = (sx < t) & (sy < n - t)
+    pat2 = (ex > t) & (ey > n - t)
+    if not strict:
+        pair_ok = ~_in_arc(t, sx, ex) & ~_in_arc(n - t, sy, ey)
+        pat1 &= pair_ok
+        pat2 &= pair_ok
+    j = int((pat1 | pat2).argmax())
+    py = int(q[j])
+    ends, pattern = (S, "x<x'<y<y'") if pat1[j] else (E, "x<y'<y<x'")
+    return CrossingWitness(
+        x=int(order_arr[px]),
+        y=int(order_arr[py]),
+        x_prime=int(order_arr[(px + ends[px]) % n]),
+        y_prime=int(order_arr[(py + ends[py]) % n]),
+        pattern=pattern,
+    )
 
 
 def crossing_violation(

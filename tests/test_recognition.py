@@ -298,6 +298,55 @@ class TestBipartitionCriterion:
                     assert (D.values[u, v] > delta) == crossing
         assert found  # the pool does contain two-cluster-like instances
 
+    @staticmethod
+    def _whole_block_reference(D, eps=0.0):
+        # seeds from the first flat maximum, blocks copied with np.ix_
+        v = D.values
+        if D.n < 4:
+            return None
+        i, j = np.unravel_index(int(np.argmax(v)), v.shape)
+        near_i = (v[:, i] - v[:, j]) < -eps
+        near_j = (v[:, j] - v[:, i]) < -eps
+        if not (near_i | near_j).all() or near_i.sum() < 2 or near_j.sum() < 2:
+            return None
+        N, F = np.flatnonzero(near_i), np.flatnonzero(near_j)
+        intra = max(v[np.ix_(N, N)].max(), v[np.ix_(F, F)].max())
+        if v[np.ix_(N, F)].min() - intra <= eps:
+            return None
+        return frozenset(N.tolist()), frozenset(F.tolist()), float(intra)
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_matches_whole_block_reference(self, block, monkeypatch):
+        import circrob.recognition as rec
+
+        monkeypatch.setattr(rec, "_BLOCK", block)
+        rng = np.random.default_rng(77)
+        spaces = [mixed_small_space(rng, n_lo=4, n_hi=9) for _ in range(150)]
+        spaces += [random_space(int(rng.integers(4, 9)), rng, ints=True) for _ in range(150)]
+        spaces += [
+            two_cluster_instance(int(k), int(l), seed=int(s))
+            for k, l, s in rng.integers(2, 90, size=(12, 3))
+        ]
+        found = 0
+        for D in spaces:
+            for eps in (0.0, 0.5):
+                got = bipartition_criterion(D, eps)
+                assert got == self._whole_block_reference(D, eps), D.values.tolist()
+                found += got is not None
+        assert found >= 24
+
+    def test_peak_memory_below_quarter_matrix(self):
+        import tracemalloc
+
+        D = two_cluster_instance(1000, 1000, seed=1)
+        tracemalloc.start()
+        try:
+            assert bipartition_criterion(D) is not None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * D.values.nbytes, peak / D.values.nbytes
+
 
 class TestAgainstOracle:
     def test_sets_and_membership(self):

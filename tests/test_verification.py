@@ -439,3 +439,117 @@ def test_positive_eps_matches_definitions(rows, seq):
         quasi_circular_by_quadruples(D, order, False, eps),
         pre_circular_by_quadruples(D, order, False, eps),
     )
+
+
+def _block_crossing(order_arr, S, E, strict):
+    """The (64, n-1) pair-block crossing rule, kept as the reference for the
+    range-minimum sweep: every pair (x at position p, y at offset t) tested
+    at once, first hit in position order."""
+    n = S.size
+    if n < 4:
+        return None
+    t = np.arange(1, n)
+    for start in range(0, n, 64):
+        P = np.arange(start, min(start + 64, n))[:, None]
+        Q = (P + t) % n
+        sx, ex, sy, ey = S[P], E[P], S[Q], E[Q]
+        pat1 = (sx < t) & (sy < n - t)
+        pat2 = (ex > t) & (ey > n - t)
+        if not strict:
+            pair_ok = ~((sx <= t) & (t <= ex)) & ~((sy <= n - t) & (n - t <= ey))
+            pat1 &= pair_ok
+            pat2 &= pair_ok
+        hits = pat1 | pat2
+        if not hits.any():
+            continue
+        b, j = divmod(int(hits.argmax()), n - 1)
+        p, q = start + b, int(Q[b, j])
+        ends, pattern = (S, "x<x'<y<y'") if pat1[b, j] else (E, "x<y'<y<x'")
+        return verification.CrossingWitness(
+            x=int(order_arr[p]),
+            y=int(order_arr[q]),
+            x_prime=int(order_arr[(p + ends[p]) % n]),
+            y_prime=int(order_arr[(q + ends[q]) % n]),
+            pattern=pattern,
+        )
+    return None
+
+
+def _random_arcs(rng, n):
+    """Farthest-arc ends 1 <= S <= E <= n-1: uniform, or around the opposite
+    point as on a circle, with about one end pinned to S = n-1, E = S or
+    E = n-1."""
+    if rng.random() < 0.3:
+        S = rng.integers(1, n, n)
+        E = S + (rng.integers(0, n - S) if rng.random() < 0.5 else 0)
+    else:
+        # opposite-point arcs of an evenly spaced circle, a few ends moved
+        S = np.full(n, n // 2) + rng.integers(-1, 2, n) * (rng.random(n) < 2 / n)
+        E = S + n % 2 + rng.integers(-1, 2, n) * (rng.random(n) < 2 / n)
+        S, E = np.clip(S, 1, n - 1), np.clip(E, 1, n - 1)
+    pinned = rng.random(n) < 1.0 / n
+    choice = rng.integers(0, 3, n)
+    S = np.where(pinned & (choice == 0), n - 1, S)
+    E = np.where(pinned & (choice == 2), n - 1, E)
+    E = np.where((pinned & (choice == 1)) | (E < S), S, E)
+    return S.astype(np.intp), E.astype(np.intp)
+
+
+def _arc_scan(S, E):
+    # the crossing test reads only the arc ends of a scan
+    return verification._RowScan(
+        S.size, None, None, None, s_off=S, e_off=E, weak_violation=None, strict_violation=None
+    )
+
+
+class TestRangeMinSweep:
+    """_crossing_from_scan against the pair-block rule on synthetic arcs."""
+
+    def test_matches_block_rule(self):
+        rng = np.random.default_rng(5150)
+        no_hit = {False: 0, True: 0}
+        hit = {False: 0, True: 0}
+        drawn = 0
+        while min(no_hit.values()) < 200 or min(hit.values()) < 200:
+            drawn += 1
+            assert drawn <= 5000, (no_hit, hit)
+            n = int(rng.integers(4, 65))
+            S, E = _random_arcs(rng, n)
+            order_arr = rng.permutation(n)
+            scan = _arc_scan(S, E)
+            for strict in (False, True):
+                got = verification._crossing_from_scan(order_arr, scan, strict)
+                assert got == _block_crossing(order_arr, S, E, strict), (
+                    S.tolist(), E.tolist(), strict
+                )
+                (hit if got else no_hit)[strict] += 1
+
+    def test_peak_memory_at_n_10000(self):
+        # the sparse table holds log2(n) rows of 2n keys; the pair blocks it
+        # replaces held (64, n-1) arrays, ~27 MiB at this n
+        import tracemalloc
+
+        n = 10_000
+        half = np.full(n, n // 2, dtype=np.intp)
+        scan = _arc_scan(half, half.copy())
+        order_arr = np.arange(n)
+        for strict in (False, True):
+            tracemalloc.start()
+            try:
+                assert verification._crossing_from_scan(order_arr, scan, strict) is None
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 8 * 2**20, peak
+
+    @pytest.mark.parametrize("n", [4, 5, 17, 64])
+    def test_range_min_matches_slices(self, n):
+        rng = np.random.default_rng(n)
+        keys = rng.integers(-50, 50, 2 * n)
+        lo = rng.integers(0, 2 * n, 300)
+        hi = lo + rng.integers(-2, 2 * n, 300)
+        hi = np.minimum(hi, 2 * n - 1)
+        got = verification._range_min(keys, lo, hi)
+        for g, a, b in zip(got, lo, hi):
+            expect = keys[a : b + 1].min() if b >= a else np.iinfo(np.intp).max
+            assert g == expect
