@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional
@@ -46,6 +47,17 @@ def _print(payload: dict, as_json: bool, lines: list[str]) -> None:
     else:
         for line in lines:
             print(line)
+
+
+def _tolerance(text: str) -> float:
+    """The --epsilon of recognize, verify and oracle: a finite number >= 0."""
+    try:
+        eps = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= eps < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
+    return eps
 
 
 def _read_npy(path: str) -> np.ndarray:
@@ -210,17 +222,21 @@ def _cmd_generate(args) -> int:
             D = perturb(circle_instance(args.n, "chord"), args.epsilon, seed=args.seed)
         else:  # pragma: no cover - argparse restricts choices
             raise ValueError(f"unknown kind {args.kind}")
-    except (ValueError, GenerationError) as exc:
+    except (ValueError, GenerationError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     spec = GeneratorSpec(
         kind=args.kind, n=D.n, seed=args.seed, epsilon=args.epsilon, params=params
     )
     out = Path(args.output)
-    _write_matrix(D, out)
-    out.with_suffix(out.suffix + ".json").write_text(
-        json.dumps(spec.to_json_dict(), indent=2) + "\n"
-    )
+    try:
+        _write_matrix(D, out)
+        out.with_suffix(out.suffix + ".json").write_text(
+            json.dumps(spec.to_json_dict(), indent=2) + "\n"
+        )
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(f"wrote n={D.n} matrix to {out}")
     return 0
 
@@ -235,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize", help="construct and check compatible orders")
     p.add_argument("--input", required=True, help="matrix file (format A, B, CSV, or .npy)")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="strict-quasi")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_tolerance, default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_recognize)
 
@@ -243,13 +259,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", required=True)
     p.add_argument("--order", required=True, help="comma-separated indices")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="quasi")
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_tolerance, default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="exhaustive classification for small n")
     p.add_argument("--input", required=True)
-    p.add_argument("--epsilon", type=float, default=0.0)
+    p.add_argument("--epsilon", type=_tolerance, default=0.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_oracle)
 

@@ -150,8 +150,8 @@ def perturb(D: DissimilarityMatrix, epsilon: float, seed: int = 0) -> Dissimilar
     to stay strictly positive (floor 1e-12).  Deterministic per seed;
     epsilon = 0 returns an identical matrix.
     """
-    if epsilon < 0:
-        raise ValueError("epsilon must be >= 0")
+    if not 0 <= epsilon < np.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
     values = D.values.copy()
     if epsilon > 0 and D.n > 1:
         rng = np.random.default_rng(seed)

@@ -15,6 +15,12 @@ E alone: per position p it is one range minimum of the keys u + S[u mod n]
 (or u + E) over a window of the unrolled cycle u in [0, 2n), answered for all
 p at once by a sparse table in O(n log n).  ``verify`` thus costs one O(n^2)
 row scan plus O(n log n).
+
+The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
+stay in cache.  A block's rows are reordered once into a buffer, each
+written twice end to end, so every circular row read is a window of its
+doubled row; the windows of a whole block are one slice of the buffer, with
+no index array.
 """
 
 from __future__ import annotations
@@ -37,7 +43,8 @@ __all__ = [
     "verify",
 ]
 
-_BLOCK = 64
+# bytes of doubled rows per scan block: small enough to stay in cache
+_BLOCK_BYTES = 512 << 10
 
 
 @dataclass(frozen=True)
@@ -124,19 +131,22 @@ class _RowScan:
     strict_violation: Optional[tuple[int, tuple[int, int]]]
 
 
+def _first(mask: np.ndarray, value: bool, default: int) -> np.ndarray:
+    """Per row, the index of the first entry of `mask` equal to `value`, or
+    `default` in rows that have none."""
+    if value:
+        return np.where(mask.any(axis=1), mask.argmax(axis=1), default)
+    return np.where(mask.all(axis=1), default, mask.argmin(axis=1))
+
+
 def _scan_block(
-    values: np.ndarray, order_arr: np.ndarray, eps: float, start: int, stop: int,
-    scan: _RowScan,
+    v: np.ndarray, order_arr: np.ndarray, eps: float, start: int, scan: _RowScan
 ) -> None:
-    """Scan rows at positions start..stop-1 into `scan`.  Blocks must come in
-    position order: a violation is recorded only if none was found before."""
-    n = order_arr.size
-    L = n - 1
-    offs = np.arange(1, n)
-    sl = slice(start, stop)
-    P = np.arange(start, stop)
-    cols = order_arr[(P[:, None] + offs[None, :]) % n]
-    v = values[order_arr[P][:, None], cols]  # (B, L) circular row reads
+    """Scan the circular reads v (B, n-1) of the rows at positions start,
+    start+1, ... into `scan`.  Blocks must come in position order: a
+    violation is recorded only if none was found before."""
+    L = v.shape[1]
+    sl = slice(start, start + v.shape[0])
     m = v.max(axis=1)
     plateau = v >= (m[:, None] - eps)
     cnt = plateau.sum(axis=1)
@@ -148,18 +158,18 @@ def _scan_block(
     if L < 2:
         return
 
-    didx = np.arange(L - 1)
     diffs = v[:, 1:] - v[:, :-1]
     fall = diffs < -eps
     rise = diffs > eps
-    first_fall = np.where(fall.any(axis=1), fall.argmax(axis=1), L)
-    last_rise = np.where(rise.any(axis=1), (L - 2) - rise[:, ::-1].argmax(axis=1), -1)
-    w_ok = ~(first_fall < last_rise)
-    # strict steps: every step before the plateau rises, every step from its
-    # last entry on falls
-    bad = ((diffs <= eps) & (didx < pf[:, None])) | ((diffs >= -eps) & (didx >= pl[:, None]))
+    first_fall = _first(fall, True, L)
+    last_rise = (L - 2) - _first(rise[:, ::-1], True, L - 1)
+    w_ok = first_fall >= last_rise
+    # strict: a plateau of at most two adjacent entries, every step before it
+    # rises and every step from its last entry on falls
+    first_flat = _first(rise, False, L - 1)
+    last_flat = (L - 2) - _first(fall[:, ::-1], False, L - 1)
     narrow = (cnt <= 2) & ((pl - pf) == (cnt - 1))
-    s_ok = narrow & ~bad.any(axis=1)
+    s_ok = narrow & (first_flat >= pf) & (last_flat < pl)
     scan.weak_ok[sl] = w_ok
     scan.strict_ok[sl] = s_ok
     if scan.weak_violation is None and not w_ok.all():
@@ -170,7 +180,12 @@ def _scan_block(
         b = int(np.flatnonzero(~s_ok)[0])
         point = int(order_arr[start + b])
         if narrow[b]:
-            i = int(bad[b].argmax())
+            # the first step that breaks a strict rule: a step before the
+            # plateau that does not rise, else one from its end that does
+            # not fall
+            i = int(first_flat[b])
+            if i >= pf[b]:
+                i = int(pl[b] + fall[b, pl[b] :].argmin())
             pos = (i, i + 1)
         else:
             pos = (int(pf[b]), int(pl[b]))
@@ -189,9 +204,22 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
         weak_violation=None,
         strict_violation=None,
     )
-    if n > 1:
-        for start in range(0, n, _BLOCK):
-            _scan_block(values, order_arr, eps, start, min(start + _BLOCK, n), scan)
+    if n < 2:
+        return scan
+    # A block's rows, reordered and written out twice, fill a (B, 2n) prefix
+    # of the buffer.  Row b's circular read starts at flat index
+    # b*2n + start + b + 1, so with a row stride of 2n + 1 the reads of the
+    # block are one (B, n-1) slice of the buffer: a view, not a copy.
+    B = min(n, max(1, _BLOCK_BYTES // (16 * n)))  # a doubled row is 16n bytes
+    buf = np.empty(B * (2 * n + 1) + n)
+    for start in range(0, n, B):
+        k = min(B, n - start)
+        reordered = values[order_arr[start : start + k]].take(order_arr, axis=1)
+        doubled = buf[: k * 2 * n].reshape(k, 2 * n)
+        doubled[:, :n] = reordered
+        doubled[:, n:] = reordered
+        v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
+        _scan_block(v, order_arr, eps, start, scan)
     return scan
 
 

@@ -166,6 +166,39 @@ class TestInputErrors:
         assert exc.value.code == 2
 
 
+    @pytest.mark.parametrize(
+        "argv", [["recognize"], ["verify", "--order", "0,1,2,3"], ["oracle"]]
+    )
+    @pytest.mark.parametrize("eps", ["nan", "-1", "inf", "-inf", "x"])
+    def test_bad_epsilon(self, fixture_file, capsys, argv, eps):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--input", fixture_file, f"--epsilon={eps}"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --epsilon:" in err, err
+
+    def test_perturb_nan_epsilon(self, tmp_path, capsys):
+        out = tmp_path / "p.txt"
+        argv = ["generate", "--kind", "perturbed", "--epsilon", "nan", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: epsilon must be a finite number")
+        assert not out.exists()
+
+    def test_generate_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "c.txt"
+        assert main(["generate", "--kind", "circle-chord", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_generate_too_large(self, tmp_path, capsys):
+        # 10^8 points ask for ~71 PiB, past any address space: the allocation
+        # fails at once instead of being overcommitted
+        out = tmp_path / "c.txt"
+        argv = ["generate", "--kind", "circle-chord", "--n", "100000000", "--output", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
+
 class TestVerify:
     def test_natural_order_flags(self, fixture_file, capsys):
         rc = main(["verify", "--input", fixture_file, "--order", "0,1,2,3", "--json"])

@@ -129,6 +129,11 @@ class TestPerturb:
         with pytest.raises(ValueError):
             perturb(circle5, -0.1)
 
+    @pytest.mark.parametrize("epsilon", [float("nan"), float("inf")])
+    def test_non_finite_epsilon_rejected(self, circle5, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            perturb(circle5, epsilon)
+
 
 class TestCounterexampleFixture:
     def test_exact_values(self):

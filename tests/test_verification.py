@@ -66,6 +66,15 @@ class TestIsStrictlyUnimodal:
         assert not is_strictly_unimodal(D, canonicalize(range(4))).ok
         assert is_unimodal(D, canonicalize(range(4))).ok
 
+    def test_step_after_plateau_within_eps_rejected(self):
+        # at eps = 1 row 0 reads 5, 4, 3: the plateau is 5, 4 and the step
+        # from its last entry falls by only eps; every other row is strict
+        D = DissimilarityMatrix([[0, 5, 4, 3], [5, 0, 1, 3], [4, 1, 0, 1], [3, 3, 1, 0]])
+        order = canonicalize(range(4))
+        rep = is_strictly_unimodal(D, order, eps=1.0)
+        assert (rep.ok, rep.violating_row, rep.violating_positions) == (False, 0, (1, 2))
+        assert is_strictly_unimodal(D, order).ok
+
 
 class TestCrossingViolation:
     def test_fixture_natural_strict_witness(self, fixture4):
@@ -212,9 +221,10 @@ class TestVerify:
 
 
 def test_block_size_invariance(monkeypatch):
-    # One block covering every row gives the same scan and reports as 64-row
-    # blocks: the first violation in position order wins when several blocks
-    # have one, and every block writes its rows of the per-position arrays.
+    # One block covering every row gives the same scan and reports as the
+    # default blocks of _BLOCK_BYTES (21 rows at this n): the first violation
+    # in position order wins when several blocks have one, and every block
+    # writes its rows of the per-position arrays.
     from circrob import circle_instance, find_compatible_order, perturb
 
     D = perturb(circle_instance(1500, "chord"), 1e-5, seed=3)
@@ -236,9 +246,9 @@ def test_block_size_invariance(monkeypatch):
             out.append((verify(M, o), fields))
         return out
 
-    assert verification._BLOCK == 64
+    assert verification._BLOCK_BYTES == 512 << 10
     blocked = reports()
-    monkeypatch.setattr(verification, "_BLOCK", 1500)
+    monkeypatch.setattr(verification, "_BLOCK_BYTES", 16 * 1500 * 1500)
     assert reports() == blocked
 
 
@@ -392,14 +402,115 @@ class TestMidSizeDifferential:
                     D, order, strict
                 )
 
-            for block in (1, 3):
-                monkeypatch.setattr(verification, "_BLOCK", block)
+            for rows in (1, 3):
+                monkeypatch.setattr(verification, "_BLOCK_BYTES", rows * 16 * n)
                 assert verify(D, order).to_json_dict() == rep.to_json_dict()
             monkeypatch.undo()
 
             seen["quasi_not_circular"] += rep.quasi and not rep.circular
             seen["strict_quasi"] += rep.strict_quasi
             seen["strict_not_circular"] += rep.strict_quasi and not rep.strict_circular
+
+
+def _reference_scan(values, seq, eps):
+    """The _RowScan fields rebuilt row by row from the rules in the docstrings,
+    each circular read taken entry by entry."""
+    n = len(seq)
+    out = {k: [] for k in ("weak_ok", "strict_ok", "max_count", "s_off", "e_off")}
+    out["weak_violation"] = out["strict_violation"] = None
+    for p in range(n):
+        row = [values[seq[p], seq[(p + k) % n]] for k in range(1, n)]
+        top = max(row)
+        plateau = [k for k, x in enumerate(row) if x >= top - eps]
+        pf, pl = plateau[0], plateau[-1]
+        steps = [row[k + 1] - row[k] for k in range(n - 2)]
+        falls = [k for k, d in enumerate(steps) if d < -eps]
+        rises = [k for k, d in enumerate(steps) if d > eps]
+        # weak: no fall before a rise; strict: a plateau of at most two
+        # adjacent entries, strict rises before it, strict falls from its end
+        weak = not (falls and rises and falls[0] < rises[-1])
+        bad = [
+            k for k, d in enumerate(steps) if (k < pf and d <= eps) or (k >= pl and d >= -eps)
+        ]
+        narrow = len(plateau) <= 2 and pl - pf == len(plateau) - 1
+        strict = narrow and not bad
+        for key, val in (
+            ("weak_ok", weak), ("strict_ok", strict), ("max_count", len(plateau)),
+            ("s_off", pf + 1), ("e_off", pl + 1),
+        ):
+            out[key].append(val)
+        if not weak and out["weak_violation"] is None:
+            out["weak_violation"] = (seq[p], (falls[0] + 1, rises[-1] + 1))
+        if not strict and out["strict_violation"] is None:
+            pos = (bad[0], bad[0] + 1) if narrow else (pf, pl)
+            out["strict_violation"] = (seq[p], pos)
+    return out
+
+
+class TestRowScan:
+    MINIMUMS = {"weak_ok": 50, "strict_ok": 20, "weak_bad": 50, "narrow_bad": 50, "wide_bad": 50}
+
+    def test_matches_per_row_reference(self, monkeypatch):
+        # blocks of 1 row, 3 rows and the whole matrix: row windows cross the
+        # seam of the doubled buffer, and the last block is often partial
+        rng = np.random.default_rng(8128)
+        seen = dict.fromkeys(self.MINIMUMS, 0)
+        for _ in range(400):
+            # small n half the time: a random row then often passes all but
+            # one strict rule
+            n = int(rng.integers(2, 9 if rng.random() < 0.5 else 41))
+            kind = int(rng.integers(4))
+            if kind < 2:
+                values = random_space(n, rng, ints=kind == 0).values
+            else:
+                values = (_quantised_circle if kind == 2 else _ellipse)(rng, n)
+            seq = list(range(n))
+            if rng.random() < 0.3:
+                seq = [int(i) for i in rng.permutation(n)]
+            elif n > 1:
+                for _ in range(int(rng.integers(0, 3))):
+                    k = int(rng.integers(n - 1))
+                    seq[k], seq[k + 1] = seq[k + 1], seq[k]
+            D, order = DissimilarityMatrix(values), canonicalize(seq)
+            eps = float(rng.choice([0.0, 1e-9, 0.3, 1.0]))
+            expect = _reference_scan(D.values, order.seq, eps)
+            for rows in (1, 3, n):
+                monkeypatch.setattr(verification, "_BLOCK_BYTES", rows * 16 * n)
+                _, scan = verification._scan(D, order, eps)
+                got = {
+                    k: v.tolist() if isinstance(v, np.ndarray) else v
+                    for k, v in vars(scan).items()
+                    if k != "n"
+                }
+                assert got == expect, (values.tolist(), seq, eps, rows)
+            seen["weak_ok"] += expect["weak_violation"] is None
+            seen["strict_ok"] += expect["strict_violation"] is None
+            seen["weak_bad"] += expect["weak_violation"] is not None
+            if expect["strict_violation"] is not None:
+                row = order.seq.index(expect["strict_violation"][0])
+                narrow = expect["max_count"][row] <= 2 and (
+                    expect["e_off"][row] - expect["s_off"][row] == expect["max_count"][row] - 1
+                )
+                seen["narrow_bad" if narrow else "wide_bad"] += 1
+        assert all(seen[k] >= m for k, m in self.MINIMUMS.items()), seen
+
+    def test_verify_peak_memory_at_n_4000(self):
+        # the scan holds one block buffer of _BLOCK_BYTES and its masks, the
+        # crossing test a sparse table of ~0.8 MiB; (64, n-1) index arrays
+        # and gathered blocks would not fit
+        import tracemalloc
+
+        from circrob import circle_instance
+
+        D = circle_instance(4000, "chord")
+        order = canonicalize(range(4000))
+        tracemalloc.start()
+        try:
+            assert verify(D, order).strict_circular
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * 2**20, peak
 
 
 # eps > 0: the row scan applies eps to neighbouring entries of a row, while

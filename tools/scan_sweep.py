@@ -1,0 +1,150 @@
+"""Time the row scan and `verify` of two circrob source trees side by side.
+
+    python3 tools/scan_sweep.py --before <old checkout>/src --after src --out BENCH_6.json
+
+For each n in SIZES, an evenly spaced chord circle of n points is built with
+identity labels and with shuffled ones, and its compatible order is read
+in-process by both trees: `verification._scan_rows` (the O(n^2) row scan) and `verify`
+(scan plus crossing tests).  Rounds alternate which tree runs first; each
+figure is the best of REPEATS rounds.  A banded ``values.max()`` over the
+same matrix is the one-pass reference, so scan/pass says how far the scan is
+from reading the matrix once.  Both trees must give the same scan fields and
+the same `verify` report, or the script stops.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import json
+import os
+import platform
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIZES = (1000, 2000, 4000, 8000, 10000)
+REPEATS = 3
+SEED = 1  # of the label shuffles
+PASS_BAND_BYTES = 1 << 20
+
+
+def _load(name: str, src: Path):
+    """The circrob package under `src`, imported as `name`."""
+    pkg = src / "circrob"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _chord_circle(pos: np.ndarray) -> np.ndarray:
+    """2 sin(pi |pos[i] - pos[j]| / n): the values circle_instance(n, "chord")
+    gives, with point i placed at position pos[i]."""
+    n = pos.size
+    out = np.empty((n, n))
+    for a in range(0, n, 1024):
+        offs = np.abs(pos[a : a + 1024, None] - pos[None, :])
+        out[a : a + 1024] = 2.0 * np.sin(np.pi * offs / n)
+    out.flags.writeable = False
+    return out
+
+
+def _one_pass(values: np.ndarray) -> None:
+    band = max(1, PASS_BAND_BYTES // values[0].nbytes)
+    for a in range(0, values.shape[0], band):
+        values[a : a + band].max()
+
+
+def _timed(fn, runs: list):
+    t0 = time.perf_counter()
+    out = fn()
+    runs.append(time.perf_counter() - t0)
+    return out
+
+
+def _fields(scan) -> dict:
+    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(scan).items()}
+
+
+def _cpu_model() -> str:
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                return line.split(":", 1)[1].strip()
+    except OSError:
+        pass
+    return platform.processor()
+
+
+def _row(trees: dict, n: int, labels: str) -> dict:
+    rng = np.random.default_rng([SEED, n])
+    pos = rng.permutation(n) if labels == "shuffled" else np.arange(n)
+    values = _chord_circle(pos)
+    order_arr = np.argsort(pos).astype(np.intp)
+    D = trees["after"].DissimilarityMatrix._adopt(values)
+    order = trees["after"].canonicalize(order_arr.tolist())
+    times = {"pass": [], **{f"{what}_{t}": [] for what in ("scan", "verify") for t in trees}}
+    scans, reports = {}, {}
+    for r in range(REPEATS):
+        sides = list(trees) if r % 2 == 0 else list(trees)[::-1]
+        _timed(lambda: _one_pass(values), times["pass"])
+        for t in sides:
+            scan_rows = trees[t].verification._scan_rows
+            scans[t] = _timed(lambda: scan_rows(values, order_arr, 0.0), times[f"scan_{t}"])
+        for t in sides:
+            verify = trees[t].verify
+            reports[t] = _timed(lambda: verify(D, order), times[f"verify_{t}"])
+    if _fields(scans["before"]) != _fields(scans["after"]) or (
+        reports["before"].to_json_dict() != reports["after"].to_json_dict()
+    ):
+        sys.exit(f"trees disagree at n={n}, {labels} labels")
+    best = {k: min(v) for k, v in times.items()}
+    return {
+        "n": n,
+        "labels": labels,
+        "pass_s": round(best["pass"], 6),
+        "scan_s": {t: round(best[f"scan_{t}"], 5) for t in trees},
+        "verify_s": {t: round(best[f"verify_{t}"], 5) for t in trees},
+        "scan_over_pass": {t: round(best[f"scan_{t}"] / best["pass"], 2) for t in trees},
+        "scan_speedup": round(best["scan_before"] / best["scan_after"], 2),
+        "verify_speedup": round(best["verify_before"] / best["verify_after"], 2),
+        "strict_circular": reports["after"].strict_circular,
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--before", type=Path, required=True, help="src dir of the old tree")
+    parser.add_argument("--after", type=Path, required=True, help="src dir of the new tree")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args()
+
+    trees = {side: _load(f"circrob_{side}", getattr(args, side)) for side in ("before", "after")}
+    rows = []
+    for n in SIZES:
+        for labels in ("shuffled", "identity"):
+            rows.append(_row(trees, n, labels))
+            print(json.dumps(rows[-1]), flush=True)
+    record = {
+        "what": "in-process row scan and verify of chord circles, before and after",
+        "method": f"interleaved rounds, best of {REPEATS}; pass = banded values.max()",
+        "seed": SEED,
+        "host": {
+            "cpu": _cpu_model(),
+            "cores": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+        },
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()
