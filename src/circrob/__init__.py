@@ -8,11 +8,9 @@ small instances.
 """
 
 from .core import (
-    Arc,
     CircularOrder,
     DissimilarityMatrix,
     MatrixFormatError,
-    arc_between,
     canonicalize,
     chain_holds,
     farthest_set,
@@ -30,20 +28,18 @@ from .oracle import (
     OracleClassification,
     circular_robinson_by_arcs,
     enumerate_circular_orders,
+    is_linear_robinson,
     oracle_classify,
     pre_circular_by_quadruples,
     quasi_circular_by_quadruples,
 )
 from .predicates import Quadruple, cr, qcr, scr, sqcr
 from .recognition import (
-    NearFarPartition,
     OrderSet,
     TieWarning,
     bipartition_criterion,
     compatible_orders,
     find_compatible_order,
-    j_set,
-    near_far_partition,
     orders_agree,
 )
 from .verification import (
@@ -51,7 +47,6 @@ from .verification import (
     CrossingWitness,
     UnimodalityReport,
     crossing_violation,
-    is_linear_robinson,
     is_strictly_unimodal,
     is_unimodal,
     verify,
@@ -60,7 +55,6 @@ from .verification import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Arc",
     "CircularOrder",
     "ClassificationReport",
     "CrossingWitness",
@@ -68,13 +62,11 @@ __all__ = [
     "GenerationError",
     "GeneratorSpec",
     "MatrixFormatError",
-    "NearFarPartition",
     "OracleClassification",
     "OrderSet",
     "Quadruple",
     "TieWarning",
     "UnimodalityReport",
-    "arc_between",
     "bipartition_criterion",
     "canonicalize",
     "chain_holds",
@@ -90,9 +82,7 @@ __all__ = [
     "is_linear_robinson",
     "is_strictly_unimodal",
     "is_unimodal",
-    "j_set",
     "load_matrix",
-    "near_far_partition",
     "oracle_classify",
     "orders_agree",
     "perturb",

@@ -8,14 +8,19 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .core import DissimilarityMatrix, MatrixFormatError, canonicalize, load_matrix
+from .core import (
+    DissimilarityMatrix,
+    MatrixFormatError,
+    _check_eps,
+    canonicalize,
+    load_matrix,
+)
 from .generators import (
     GenerationError,
     GeneratorSpec,
@@ -52,12 +57,9 @@ def _print(payload: dict, as_json: bool, lines: list[str]) -> None:
 def _tolerance(text: str) -> float:
     """The --epsilon of recognize, verify and oracle: a finite number >= 0."""
     try:
-        eps = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= eps < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number >= 0, got {text!r}")
-    return eps
+        return _check_eps(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_npy(path: str) -> np.ndarray:

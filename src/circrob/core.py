@@ -1,4 +1,4 @@
-"""Dissimilarity spaces, circular orders, and arcs.
+"""Dissimilarity spaces and circular orders.
 
 Points are indexed 0..n-1.  A circular order is a cyclic arrangement of all
 points, read counterclockwise; two arrangements are the same order when they
@@ -8,12 +8,13 @@ as plain tuples.
 
 Comparisons throughout the package take an absolute tolerance ``eps``
 (default 0, i.e. exact): ``a > b`` means ``a - b > eps`` and ``a >= b`` means
-``a - b >= -eps``.
+``a - b >= -eps``.  The tolerance itself must be a finite number >= 0.
 """
 
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Iterable, Iterator, Optional, Sequence, TextIO
@@ -24,11 +25,9 @@ __all__ = [
     "MatrixFormatError",
     "DissimilarityMatrix",
     "CircularOrder",
-    "Arc",
     "load_matrix",
     "canonicalize",
     "chain_holds",
-    "arc_between",
     "farthest_set",
 ]
 
@@ -42,6 +41,14 @@ class MatrixFormatError(ValueError):
 # the matrix.
 _BAND = 64
 _CHUNK = 1 << 16
+
+
+def _check_eps(eps: float) -> float:
+    """The tolerance as a float; ValueError unless it is finite and >= 0."""
+    eps = float(eps)
+    if not 0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be a finite number >= 0, got {eps}")
+    return eps
 
 
 def _first(mask: np.ndarray, row0: int) -> Optional[tuple[int, int]]:
@@ -127,7 +134,7 @@ class DissimilarityMatrix:
 
     def _store(self, arr: np.ndarray, eps: float) -> None:
         arr.flags.writeable = False
-        _validate_values(arr, eps)
+        _validate_values(arr, _check_eps(eps))
         self.values = arr
         self.n = int(arr.shape[0])
 
@@ -164,30 +171,6 @@ class CircularOrder:
 
     def reverse(self) -> "CircularOrder":
         return canonicalize(self.seq[::-1])
-
-
-@dataclass(frozen=True)
-class Arc:
-    """A contiguous segment of a circular order: `length` points starting at
-    position `start` (counterclockwise)."""
-
-    order: CircularOrder
-    start: int
-    length: int
-
-    @property
-    def sequence(self) -> tuple[int, ...]:
-        n = len(self.order)
-        return tuple(
-            self.order.seq[(self.start + i) % n] for i in range(self.length)
-        )
-
-    @property
-    def members(self) -> frozenset[int]:
-        return frozenset(self.sequence)
-
-    def __len__(self) -> int:
-        return self.length
 
 
 def _check_permutation(seq: Sequence[int]) -> np.ndarray:
@@ -234,17 +217,6 @@ def chain_holds(order: CircularOrder, points: Sequence[int]) -> bool:
         if (pos[v] - pos[u]) % n >= (pos[w] - pos[u]) % n:
             return False
     return True
-
-
-def arc_between(order: CircularOrder, a: int, b: int) -> Arc:
-    """The arc from `a` counterclockwise to `b`, both included."""
-    n = len(order)
-    for p in (a, b):
-        if not 0 <= p < n:
-            raise ValueError(f"index out of range: {p}")
-    pos = {p: i for i, p in enumerate(order.seq)}
-    length = (pos[b] - pos[a]) % n + 1
-    return Arc(order=order, start=pos[a], length=length)
 
 
 def farthest_set(D: DissimilarityMatrix, x: int) -> tuple[float, frozenset[int]]:

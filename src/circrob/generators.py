@@ -14,7 +14,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import DissimilarityMatrix, canonicalize
+from .core import DissimilarityMatrix, _check_eps, canonicalize
 from .recognition import bipartition_criterion
 from .verification import verify
 
@@ -150,8 +150,7 @@ def perturb(D: DissimilarityMatrix, epsilon: float, seed: int = 0) -> Dissimilar
     to stay strictly positive (floor 1e-12).  Deterministic per seed;
     epsilon = 0 returns an identical matrix.
     """
-    if not 0 <= epsilon < np.inf:
-        raise ValueError(f"epsilon must be a finite number >= 0, got {epsilon}")
+    epsilon = _check_eps(epsilon)
     values = D.values.copy()
     if epsilon > 0 and D.n > 1:
         rng = np.random.default_rng(seed)

@@ -1,9 +1,18 @@
-"""The four quadruple conditions on a chain x < y < z < t of a circular order.
+"""The Robinson conditions, each written once as a margin.
 
-Each condition constrains d(x,z), the diagonal of the quadruple, against the
-distances to the two points y (inside the arc from x to z) and t (outside).
-The non-strict conditions hold trivially when x == y or z == t; the strict
-ones are defined only on pairwise-distinct quadruples.
+A margin is d(x,z) minus the bound the condition puts on it, evaluated on
+point indices that may be arrays of any (common) shape.  A condition holds
+when its margin passes :func:`_holds`: strict means margin > eps, weak means
+margin >= -eps.
+
+- linear (x < y < z on a line): d(x,z) >= max(d(x,y), d(y,z));
+- cr on a chain x < y < z < t of a circular order: d(x,z) >= min(max(d(x,y),
+  d(y,z)), max(d(x,t), d(t,z))), i.e. one of the two arcs from x to z is
+  linear on its inner point;
+- qcr on the same chain: d(x,z) >= min(d(y,z), d(t,z)).
+
+The non-strict quadruple conditions hold trivially when x == y or z == t;
+the strict ones are defined only on pairwise-distinct quadruples.
 """
 
 from __future__ import annotations
@@ -24,41 +33,50 @@ class Quadruple(NamedTuple):
     t: int
 
 
-def _require_distinct(q: Quadruple) -> None:
-    if len({q.x, q.y, q.z, q.t}) != 4:
+def _holds(margin, strict: bool, eps: float):
+    """Whether a margin passes: > eps when strict, >= -eps otherwise."""
+    return margin > eps if strict else margin >= -eps
+
+
+def _lr_margin(v: np.ndarray, x, y, z):
+    """d(x,z) - max(d(x,y), d(y,z)): y lies between x and z on a line."""
+    return v[x, z] - np.maximum(v[x, y], v[y, z])
+
+
+def _cr_margin(v: np.ndarray, x, y, z, t):
+    """d(x,z) - min(max(d(x,y), d(y,z)), max(d(x,t), d(t,z))).  Written as
+    the larger of the two arcs' linear margins, which is the same float:
+    rounding of d(x,z) - b is monotone in b."""
+    return np.maximum(_lr_margin(v, x, y, z), _lr_margin(v, x, t, z))
+
+
+def _qcr_margin(v: np.ndarray, x, y, z, t):
+    """d(x,z) - min(d(y,z), d(t,z))."""
+    return v[x, z] - np.minimum(v[y, z], v[t, z])
+
+
+def _points(q: Quadruple, strict: bool) -> Quadruple:
+    q = Quadruple(*q)
+    if strict and len(set(q)) != 4:
         raise ValueError(f"strict condition needs pairwise-distinct points, got {tuple(q)}")
+    return q
 
 
 def cr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(max(d(x,y), d(y,z)), max(d(x,t), d(t,z)))."""
-    v = D.values
-    x, y, z, t = q
-    bound = min(max(v[x, y], v[y, z]), max(v[x, t], v[t, z]))
-    return v[x, z] - bound >= -eps
+    return bool(_holds(_cr_margin(D.values, *_points(q, False)), False, eps))
 
 
 def scr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`cr`; requires pairwise-distinct points."""
-    q = Quadruple(*q)
-    _require_distinct(q)
-    v = D.values
-    x, y, z, t = q
-    bound = min(max(v[x, y], v[y, z]), max(v[x, t], v[t, z]))
-    return v[x, z] - bound > eps
-
-
-def _qcr_margin(v: np.ndarray, x, y, z, t):
-    """d(x,z) - min(d(y,z), d(t,z)); the points may be index arrays."""
-    return v[x, z] - np.minimum(v[y, z], v[t, z])
+    return bool(_holds(_cr_margin(D.values, *_points(q, True)), True, eps))
 
 
 def qcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(d(y,z), d(t,z))."""
-    return _qcr_margin(D.values, *q) >= -eps
+    return bool(_holds(_qcr_margin(D.values, *_points(q, False)), False, eps))
 
 
 def sqcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`qcr`; requires pairwise-distinct points."""
-    q = Quadruple(*q)
-    _require_distinct(q)
-    return _qcr_margin(D.values, *q) > eps
+    return bool(_holds(_qcr_margin(D.values, *_points(q, True)), True, eps))

@@ -20,16 +20,13 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import CircularOrder, DissimilarityMatrix, canonicalize, farthest_set
-from .predicates import _qcr_margin
+from .core import CircularOrder, DissimilarityMatrix, canonicalize
+from .predicates import _holds, _qcr_margin
 from .verification import ClassificationReport, verify
 
 __all__ = [
     "TieWarning",
-    "NearFarPartition",
     "OrderSet",
-    "j_set",
-    "near_far_partition",
     "orders_agree",
     "find_compatible_order",
     "compatible_orders",
@@ -45,18 +42,6 @@ STRICT_CIRCULAR = "strict-circular"
 class TieWarning(UserWarning):
     """Equal sort keys met while ordering points by distance; the instance is
     then not strict (or only through a two-point farthest pair)."""
-
-
-@dataclass(frozen=True)
-class NearFarPartition:
-    """Split of the points by proximity to a base point vs. one of its
-    farthest neighbors; `meet` holds the equidistant points."""
-
-    x: int
-    x_prime: int
-    N: frozenset[int]
-    F: frozenset[int]
-    meet: frozenset[int]
 
 
 @dataclass(frozen=True)
@@ -80,25 +65,14 @@ class OrderSet:
 
 
 def _j_mask(values: np.ndarray, x: int, y: int, eps: float) -> np.ndarray:
+    """Mask of the J-set: x, y and every point strictly closer than d(x,y)
+    to both.  On strict quasi-circular instances where d(x,y) <= min(d(x,z),
+    d(y,z)) for every third point z, it is the arc from x to y of any
+    compatible order."""
     mask = (values[x, y] - np.maximum(values[x], values[y])) > eps
     mask[x] = True
     mask[y] = True
     return mask
-
-
-def j_set(D: DissimilarityMatrix, x: int, y: int, eps: float = 0.0) -> frozenset[int]:
-    """{x, y} plus every point strictly closer than d(x,y) to both x and y.
-
-    On strict quasi-circular instances with d(x,y) <= min(d(x,z), d(y,z)) for
-    a third point z, this is exactly the arc from x to y of any compatible
-    order.
-    """
-    if x == y:
-        raise ValueError("j_set needs two distinct points")
-    for p in (x, y):
-        if not 0 <= p < D.n:
-            raise ValueError(f"index out of range: {p}")
-    return frozenset(int(i) for i in np.flatnonzero(_j_mask(D.values, x, y, eps)))
 
 
 def _near_far_masks(
@@ -108,24 +82,6 @@ def _near_far_masks(
     dN = values[:, x]
     dF = values[:, x_prime]
     return (dN - dF) <= eps, (dF - dN) <= eps
-
-
-def near_far_partition(
-    D: DissimilarityMatrix, x: int, x_prime: int, eps: float = 0.0
-) -> NearFarPartition:
-    """Partition by proximity to x vs. x'; requires x' to be farthest from x."""
-    r, _ = farthest_set(D, x)
-    if not D.values[x, x_prime] >= r - eps:
-        raise ValueError(f"{x_prime} is not a farthest neighbor of {x}")
-    in_N, in_F = _near_far_masks(D.values, x, x_prime, eps)
-    to_set = lambda m: frozenset(int(i) for i in np.flatnonzero(m))
-    return NearFarPartition(
-        x=x,
-        x_prime=x_prime,
-        N=to_set(in_N),
-        F=to_set(in_F),
-        meet=to_set(in_N & in_F),
-    )
 
 
 def orders_agree(
@@ -157,13 +113,9 @@ def orders_agree(
     def holds(a, b: int, c: int, d: int) -> bool:
         # sqcr on every chain a[i] < b < c < d and on its three rotations: a
         # violation of the 4-subset may surface at any rotation
-        return bool(
-            (
-                (_qcr_margin(v, a, b, c, d) > eps)
-                & (_qcr_margin(v, b, c, d, a) > eps)
-                & (_qcr_margin(v, c, d, a, b) > eps)
-                & (_qcr_margin(v, d, a, b, c) > eps)
-            ).all()
+        return all(
+            _holds(_qcr_margin(v, *rot), True, eps).all()
+            for rot in ((a, b, c, d), (b, c, d, a), (c, d, a, b), (d, a, b, c))
         )
 
     x1, x2, xk, xk1 = xn[0], xn[1], xn[-1], xn[-2]

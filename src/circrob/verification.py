@@ -26,11 +26,11 @@ no index array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional, Sequence
+from typing import Any, Optional
 
 import numpy as np
 
-from .core import CircularOrder, DissimilarityMatrix
+from .core import CircularOrder, DissimilarityMatrix, _check_eps
 
 __all__ = [
     "UnimodalityReport",
@@ -39,7 +39,6 @@ __all__ = [
     "is_unimodal",
     "is_strictly_unimodal",
     "crossing_violation",
-    "is_linear_robinson",
     "verify",
 ]
 
@@ -229,7 +228,7 @@ def _scan(
     order_arr = np.asarray(order.seq, dtype=np.intp)
     if order_arr.size != D.n:
         raise ValueError(f"order has {order_arr.size} points, matrix has {D.n}")
-    return order_arr, _scan_rows(D.values, order_arr, eps)
+    return order_arr, _scan_rows(D.values, order_arr, _check_eps(eps))
 
 
 def _report_from_scan(order_arr: np.ndarray, scan: _RowScan, strict: bool) -> UnimodalityReport:
@@ -353,34 +352,6 @@ def crossing_violation(
         mode = "strictly unimodal" if strict else "unimodal"
         raise ValueError(f"crossing test requires a {mode} compatible order")
     return _crossing_from_scan(order_arr, scan, strict)
-
-
-def is_linear_robinson(
-    D: DissimilarityMatrix,
-    linear_seq: Sequence[int],
-    strict: bool = False,
-    eps: float = 0.0,
-) -> bool:
-    """Whether the sequence is a compatible linear order of its points.
-
-    Checks the 3-point condition d(x,z) >= max(d(x,y), d(y,z)) for x < y < z
-    along the sequence (strict: >) via row monotonicity, O(m^2).
-    """
-    seq = np.asarray(linear_seq, dtype=np.intp)
-    if len(set(int(s) for s in seq)) != seq.size:
-        raise ValueError("sequence has repeated indices")
-    m = seq.size
-    if m <= 2:
-        return True
-    M = D.values[np.ix_(seq, seq)]
-    diffs = M[:, 1:] - M[:, :-1]
-    jj = np.arange(m - 1)[None, :]
-    rr = np.arange(m)[:, None]
-    right = jj >= rr  # moving right, away from the diagonal
-    left = jj < rr  # moving right, toward the diagonal
-    if strict:
-        return bool((diffs[right] > eps).all() and (diffs[left] < -eps).all())
-    return bool((diffs[right] >= -eps).all() and (diffs[left] <= eps).all())
 
 
 def verify(

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from circrob import (
     DissimilarityMatrix,
     MatrixFormatError,
-    arc_between,
     canonicalize,
     chain_holds,
     farthest_set,
@@ -50,6 +49,15 @@ class TestLoadMatrix:
     def test_asymmetry_within_tolerance_accepted(self):
         D = load_matrix("2\n0 1.0\n1.005 0", eps=0.01)
         assert D.n == 2
+
+    @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
+    def test_bad_eps_rejected(self, eps):
+        # the tolerance is checked before it is used: at eps = -1 the zero
+        # diagonal would otherwise read as an asymmetry
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            DissimilarityMatrix(np.zeros((1, 1)), eps=eps)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            load_matrix("2\n0 1\n1 0", eps=eps)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(MatrixFormatError, match="negative"):
@@ -381,30 +389,6 @@ class TestChainHolds:
         pts = data.draw(st.lists(st.integers(0, 5), min_size=3, max_size=5, unique=True))
         rotated = pts[1:] + pts[:1]
         assert chain_holds(o, pts) == chain_holds(o, rotated)
-
-
-class TestArcBetween:
-    def test_contiguous_run(self):
-        o = canonicalize(range(5))
-        assert arc_between(o, 1, 3).members == {1, 2, 3}
-
-    def test_wraparound(self):
-        o = canonicalize(range(5))
-        assert arc_between(o, 3, 1).members == {3, 4, 0, 1}
-
-    def test_degenerate(self):
-        o = canonicalize(range(5))
-        assert arc_between(o, 2, 2).members == {2}
-
-    @given(st.data())
-    def test_sizes_sum(self, data):
-        perm = data.draw(st.permutations(list(range(6))))
-        o = canonicalize(perm)
-        a = data.draw(st.integers(0, 5))
-        b = data.draw(st.integers(0, 5).filter(lambda v: v != a))
-        assert len(arc_between(o, a, b)) + len(arc_between(o, b, a)) == 6 + 2
-        assert arc_between(o, a, b).members | arc_between(o, b, a).members == set(range(6))
-        assert arc_between(o, a, b).members & arc_between(o, b, a).members == {a, b}
 
 
 class TestFarthestSet:

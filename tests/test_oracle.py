@@ -1,15 +1,26 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from circrob import (
+    DissimilarityMatrix,
+    Quadruple,
     canonicalize,
     circle_instance,
     circular_robinson_by_arcs,
+    counterexample_fixture,
+    cr,
     enumerate_circular_orders,
+    is_linear_robinson,
     oracle_classify,
     pre_circular_by_quadruples,
+    qcr,
     quasi_circular_by_quadruples,
+    scr,
+    sqcr,
 )
+from circrob.oracle import _position_tables
 from conftest import mixed_small_space, random_space
 
 
@@ -116,16 +127,105 @@ class TestOracleClassify:
             assert len(oc.strict_circular_by_arcs) <= 1
 
 
+# At eps = 0.31 the chain 4 < 5 < 3 < 0 of this order breaks cr: d(4,3) =
+# 2.16 is more than eps below both arcs' bounds, 2.78 and 2.55.  A linear
+# rule that applies eps to neighbouring arc entries only still finds a linear
+# arc for every pair.
+_EPS_ARCS = (
+    [
+        [0, 1.6, 1.54, 2.55, 1.33, 2.84],
+        [1.6, 0, 1.56, 2.41, 1.5, 2.79],
+        [1.54, 1.56, 0, 2.22, 0.67, 2.39],
+        [2.55, 2.41, 2.22, 0, 2.16, 2.78],
+        [1.33, 1.5, 0.67, 2.16, 0, 1.28],
+        [2.84, 2.79, 2.39, 2.78, 1.28, 0],
+    ],
+    (0, 1, 2, 4, 5, 3),
+)
+
+
 class TestEquivalenceTheorem:
     def test_quadruples_iff_arcs_per_order(self):
         rng = np.random.default_rng(314159)
+        cases = [(DissimilarityMatrix(_EPS_ARCS[0]), canonicalize(_EPS_ARCS[1]))]
         for _ in range(120):
             D = mixed_small_space(rng)
-            order = canonicalize(rng.permutation(D.n))
-            for strict in (False, True):
-                assert pre_circular_by_quadruples(D, order, strict) == (
-                    circular_robinson_by_arcs(D, order, strict)
-                )
+            cases.append((D, canonicalize(rng.permutation(D.n))))
+        for D, order in cases:
+            for eps in (0.0, 0.05, 0.31):
+                for strict in (False, True):
+                    assert pre_circular_by_quadruples(D, order, strict, eps) == (
+                        circular_robinson_by_arcs(D, order, strict, eps)
+                    ), (D.values.tolist(), order.seq, eps, strict)
+        D, order = cases[0]
+        assert not circular_robinson_by_arcs(D, order, False, 0.31)
+
+
+class TestPositionTables:
+    def test_arcs_split_the_circle(self):
+        # arc k of pair (a, b) holds, in walk order, exactly the 3-subsets of
+        # the positions from its start forward to its end; the two arcs of a
+        # pair cover all n positions and share exactly the two ends
+        for n in range(2, 9):
+            _, triples, arcs = _position_tables(n)
+            pairs = list(combinations(range(n), 2))
+            assert arcs.shape == (2 * len(pairs), triples.shape[1])
+            for i, (a, b) in enumerate(pairs):
+                spans = []
+                for k, (start, end) in enumerate(((a, b), (b, a))):
+                    walk = [(start + j) % n for j in range((end - start) % n + 1)]
+                    inside = sorted(map(tuple, triples[:, arcs[2 * i + k]].T.tolist()))
+                    assert inside == sorted(combinations(walk, 3))
+                    spans.append(set(walk))
+                assert spans[0] | spans[1] == set(range(n))
+                assert spans[0] & spans[1] == {a, b}
+
+    def test_sweeps_match_scalar_predicates(self):
+        # the one-order sweeps against the scalar predicates on the chain
+        # quadruples, and the arc rule against is_linear_robinson on the two
+        # arcs of each pair: this checks the position tables and rotations
+        rng = np.random.default_rng(4711)
+        for _ in range(40):
+            D = mixed_small_space(rng, n_lo=4, n_hi=7)
+            seq = canonicalize(rng.permutation(D.n)).seq
+            n = len(seq)
+            chains = [
+                Quadruple(*(seq[p] for p in ps[r:] + ps[:r]))
+                for ps in combinations(range(n), 4)
+                for r in range(4)
+            ]
+            arcs = [
+                (seq[a : b + 1], seq[b:] + seq[: a + 1]) for a, b in combinations(range(n), 2)
+            ]
+            order = canonicalize(seq)
+            for eps in (0.0, 0.31):
+                for strict, (pre, quasi) in ((False, (cr, qcr)), (True, (scr, sqcr))):
+                    assert pre_circular_by_quadruples(D, order, strict, eps) == all(
+                        pre(D, q, eps) for q in chains
+                    )
+                    assert quasi_circular_by_quadruples(D, order, strict, eps) == all(
+                        quasi(D, q, eps) for q in chains
+                    )
+                    assert circular_robinson_by_arcs(D, order, strict, eps) == all(
+                        is_linear_robinson(D, one, strict, eps)
+                        or is_linear_robinson(D, other, strict, eps)
+                        for one, other in arcs
+                    )
+
+
+@pytest.mark.parametrize("eps", [float("nan"), -1.0])
+def test_bad_eps_rejected(eps):
+    D, order = counterexample_fixture(), canonicalize((0, 2, 1, 3))
+    checks = [
+        lambda: pre_circular_by_quadruples(D, order, eps=eps),
+        lambda: quasi_circular_by_quadruples(D, order, eps=eps),
+        lambda: circular_robinson_by_arcs(D, order, eps=eps),
+        lambda: is_linear_robinson(D, (0, 1, 2), eps=eps),
+        lambda: oracle_classify(D, eps=eps),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            check()
 
 
 class TestSixPointChainBound:

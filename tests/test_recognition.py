@@ -12,8 +12,6 @@ from circrob import (
     compatible_orders,
     counterexample_fixture,
     find_compatible_order,
-    j_set,
-    near_far_partition,
     oracle_classify,
     orders_agree,
     perturb,
@@ -21,7 +19,19 @@ from circrob import (
     two_cluster_instance,
     verify,
 )
+from circrob.recognition import _j_mask, _near_far_masks
 from conftest import mixed_small_space, random_space
+
+
+def j_set(D, x, y):
+    return set(np.flatnonzero(_j_mask(D.values, x, y, 0.0)).tolist())
+
+
+def near_far(D, x, x_prime):
+    # (N, F, meet): the points at least as close to x as to x', vice versa,
+    # and both
+    in_N, in_F = _near_far_masks(D.values, x, x_prime, 0.0)
+    return tuple(set(np.flatnonzero(m).tolist()) for m in (in_N, in_F, in_N & in_F))
 
 
 class TestJSet:
@@ -38,24 +48,17 @@ class TestJSet:
             x, y = rng.permutation(D.n)[:2]
             assert {int(x), int(y)} <= j_set(D, int(x), int(y))
 
-    def test_same_point_rejected(self, fixture4):
-        with pytest.raises(ValueError):
-            j_set(fixture4, 1, 1)
-
 
 class TestNearFarPartition:
     def test_fixture(self, fixture4):
-        p = near_far_partition(fixture4, 0, 3)
-        assert (p.N, p.F, p.meet) == ({0, 1}, {2, 3}, frozenset())
+        assert near_far(fixture4, 0, 3) == ({0, 1}, {2, 3}, set())
 
     def test_circle(self, circle5):
-        p = near_far_partition(circle5, 0, 2)
-        assert (p.N, p.F, p.meet) == ({0, 1, 4}, {1, 2, 3}, {1})
+        assert near_far(circle5, 0, 2) == ({0, 1, 4}, {1, 2, 3}, {1})
 
     def test_two_points(self):
         D = DissimilarityMatrix([[0, 5], [5, 0]])
-        p = near_far_partition(D, 0, 1)
-        assert (p.N, p.F, p.meet) == ({0}, {1}, frozenset())
+        assert near_far(D, 0, 1) == ({0}, {1}, set())
 
     def test_covers_everything(self):
         rng = np.random.default_rng(9)
@@ -64,14 +67,10 @@ class TestNearFarPartition:
             from circrob import farthest_set
 
             _, fx = farthest_set(D, 0)
-            p = near_far_partition(D, 0, min(fx))
-            assert p.N | p.F == set(range(D.n))
-            assert p.meet == p.N & p.F
-            assert 0 in p.N and p.x_prime in p.F
-
-    def test_not_farthest_rejected(self, circle5):
-        with pytest.raises(ValueError, match="farthest"):
-            near_far_partition(circle5, 0, 1)
+            N, F, meet = near_far(D, 0, min(fx))
+            assert N | F == set(range(D.n))
+            assert meet == N & F
+            assert 0 in N and min(fx) in F
 
 
 class TestOrdersAgree:

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from circrob import (
     DissimilarityMatrix,
-    arc_between,
     canonicalize,
     crossing_violation,
     enumerate_circular_orders,
@@ -144,21 +143,32 @@ class TestIsLinearRobinson:
             is_linear_robinson(LINE_D, (0, 1, 1))
 
     def test_matches_triple_bruteforce(self):
+        # eps applies to each compared pair.  The fixed case passes a rule
+        # that applies it to neighbouring row entries only, but along
+        # (3, 1, 0, 2) its triple (3, 1, 2) has d(3,2) = .59, more than eps
+        # below max(d(3,1), d(1,2)) = .914.
         rng = np.random.default_rng(99)
+        fixed = DissimilarityMatrix(
+            [[0, .572, .801, .615], [.572, 0, .832, .914], [.801, .832, 0, .59], [.615, .914, .59, 0]]
+        )
+        cases = [(fixed, [3, 1, 0, 2], 0.31)]
         for _ in range(200):
             n = int(rng.integers(3, 7))
-            D = random_space(n, rng, ints=True)
+            D = random_space(n, rng, ints=bool(rng.integers(2)))
             seq = [int(v) for v in rng.permutation(n)[: rng.integers(3, n + 1)]]
+            cases.append((D, seq, float(rng.choice([0.0, 0.0, 0.05, 0.31]))))
+        for D, seq, eps in cases:
+            v = D.values
+            margins = [
+                v[seq[i], seq[k]] - max(v[seq[i], seq[j]], v[seq[j], seq[k]])
+                for i in range(len(seq))
+                for j in range(i + 1, len(seq))
+                for k in range(j + 1, len(seq))
+            ]
             for strict in (False, True):
-                expect = all(
-                    (D.values[seq[i], seq[k]] > max(D.values[seq[i], seq[j]], D.values[seq[j], seq[k]]))
-                    if strict
-                    else (D.values[seq[i], seq[k]] >= max(D.values[seq[i], seq[j]], D.values[seq[j], seq[k]]))
-                    for i in range(len(seq))
-                    for j in range(i + 1, len(seq))
-                    for k in range(j + 1, len(seq))
-                )
-                assert is_linear_robinson(D, seq, strict=strict) == expect
+                expect = all(m > eps if strict else m >= -eps for m in margins)
+                assert is_linear_robinson(D, seq, strict=strict, eps=eps) == expect
+        assert not is_linear_robinson(fixed, [3, 1, 0, 2], eps=0.31)
 
 
 class TestVerify:
@@ -197,6 +207,17 @@ class TestVerify:
         assert d["witness"] is not None
         clean = verify(fixture4, canonicalize((0, 1, 3, 2))).to_json_dict()
         assert clean["witness"] is None
+
+    @pytest.mark.parametrize("eps", [float("nan"), -0.5])
+    def test_bad_eps_rejected(self, fixture4, eps):
+        # at eps = nan every comparison would be False: the bad order
+        # (quasi False at eps = 0) would pass as quasi
+        order = canonicalize((0, 2, 1, 3))
+        for check in (verify, is_unimodal, is_strictly_unimodal):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                check(fixture4, order, eps=eps)
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            crossing_violation(fixture4, canonicalize(range(4)), strict=True, eps=eps)
 
     @settings(deadline=None)
     @given(st.integers(3, 7), st.integers(0, 10_000), st.booleans())
@@ -301,15 +322,6 @@ class TestDefinitionEquivalences:
                 row = [D.values[x, y] for y in range(n) if y != x]
                 for value in set(row):
                     assert row.count(value) <= 2
-
-
-def test_arc_restriction_matches_arc_between(fixture4):
-    # the two arc readings used by the arc-based oracle partition the circle
-    order = canonicalize((0, 1, 3, 2))
-    one = arc_between(order, 0, 3).sequence
-    other = arc_between(order, 3, 0).sequence
-    assert set(one) | set(other) == {0, 1, 2, 3}
-    assert is_linear_robinson(fixture4, one) or is_linear_robinson(fixture4, other)
 
 
 def _quantised_circle(rng, n):
