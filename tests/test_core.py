@@ -1,4 +1,6 @@
 import io
+from itertools import combinations
+from math import comb
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from circrob import (
     farthest_set,
     load_matrix,
 )
+from circrob.oracle import _position_tables
 
 
 class TestLoadMatrix:
@@ -389,6 +392,35 @@ class TestChainHolds:
         pts = data.draw(st.lists(st.integers(0, 5), min_size=3, max_size=5, unique=True))
         rotated = pts[1:] + pts[:1]
         assert chain_holds(o, pts) == chain_holds(o, rotated)
+
+
+class TestArcBetween:
+    # the oracle's arc between two positions, read off its arc mask: the two
+    # ends and every position of a triple inside the arc
+    @staticmethod
+    def _arc(n, a, b):
+        _, triples, arcs = _position_tables(n)
+        pair = list(combinations(range(n), 2)).index((min(a, b), max(a, b)))
+        inside = triples[:, arcs[2 * pair + (a > b)]]
+        return {a, b} | set(inside.ravel().tolist()), inside.shape[1]
+
+    def test_contiguous_run(self):
+        assert self._arc(5, 1, 3) == ({1, 2, 3}, 1)
+
+    def test_wraparound(self):
+        assert self._arc(5, 3, 1) == ({3, 4, 0, 1}, 4)
+
+    @given(st.data())
+    def test_sizes_sum(self, data):
+        n = data.draw(st.integers(3, 8))
+        a = data.draw(st.integers(0, n - 1))
+        b = data.draw(st.integers(0, n - 1).filter(lambda v: v != a))
+        one, one_triples = self._arc(n, a, b)
+        other, other_triples = self._arc(n, b, a)
+        assert len(one) + len(other) == n + 2
+        assert one | other == set(range(n))
+        assert one & other == {a, b}
+        assert (one_triples, other_triples) == (comb(len(one), 3), comb(len(other), 3))
 
 
 class TestFarthestSet:

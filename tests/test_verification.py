@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from circrob import (
     verify,
 )
 from circrob import verification
+from circrob.oracle import _position_tables
 from conftest import random_space
 
 LINE_D = DissimilarityMatrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points 1, 2, 4 on a line
@@ -322,6 +325,25 @@ class TestDefinitionEquivalences:
                 row = [D.values[x, y] for y in range(n) if y != x]
                 for value in set(row):
                     assert row.count(value) <= 2
+
+
+def test_arc_restriction_matches_arc_between(fixture4):
+    # the two arc readings used by the arc-based oracle partition the circle,
+    # and each reads as is_linear_robinson does on its run of points
+    order = canonicalize((0, 1, 3, 2))
+    seq = np.array(order.seq)
+    runs = (order.seq[0:3], order.seq[2:] + order.seq[:1])
+    assert set(runs[0]) | set(runs[1]) == {0, 1, 2, 3}
+    _, triples, arcs = _position_tables(4)
+    pair = list(combinations(range(4), 2)).index((0, 2))
+    readings = []
+    for k, run in enumerate(runs):
+        inside = [tuple(t) for t in seq[triples[:, arcs[2 * pair + k]]].T.tolist()]
+        assert sorted(inside) == sorted(combinations(run, 3))
+        reading = all(is_linear_robinson(fixture4, t) for t in inside)
+        assert reading == is_linear_robinson(fixture4, run)
+        readings.append(reading)
+    assert any(readings)
 
 
 def _quantised_circle(rng, n):
