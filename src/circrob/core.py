@@ -163,12 +163,6 @@ class CircularOrder:
     def __iter__(self) -> Iterator[int]:
         return iter(self.seq)
 
-    def positions(self) -> np.ndarray:
-        """positions[p] = index of point p along the cycle."""
-        pos = np.empty(len(self.seq), dtype=np.intp)
-        pos[np.asarray(self.seq)] = np.arange(len(self.seq))
-        return pos
-
     def reverse(self) -> "CircularOrder":
         return canonicalize(self.seq[::-1])
 

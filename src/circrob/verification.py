@@ -1,9 +1,17 @@
 """O(n^2) verification of a circular order against the four compatibility notions.
 
-Quasi-circular compatibility is equivalent to the reordered matrix being
-unimodal: each row, read circularly starting after the diagonal, first rises,
-plateaus at the row maximum, then falls.  The strict variant demands strict
-rises and falls and a plateau of at most two (necessarily adjacent) entries.
+Quasi-circular compatibility is a condition on each row, read circularly
+from after the diagonal: for entries i < j < k of the read, qcr asks that
+v[j] >= min(v[i], v[k]) - eps and sqcr that v[j] > min(v[i], v[k]) + eps.
+Both flags come from one order-break rule over the steps of a read (step s
+joins entries s and s+1): a row fails when a step of one kind comes before a
+step of another.  Weak: a fall (entry s+1 more than eps below an earlier
+entry) before a rise (entry s more than eps below a later one).  Strict: a
+step that does not rise by more than eps before one that does not fall by
+more than eps; the entries up to j each exceed all earlier ones by more than
+eps iff every step up to j rises by more than eps.  A failing row's witness
+(a, b) is (its first such step + 1, its last + 1): the least entry among
+a..b-1 breaks the margin against the largest entry before a and from b on.
 
 Circular compatibility additionally forbids, for unimodal-compatible orders,
 any pair x, y with farthest neighbors x', y' arranged as x < x' < y < y' or
@@ -50,25 +58,18 @@ _BLOCK_BYTES = 512 << 10
 class UnimodalityReport:
     """Outcome of the circular row scan.
 
-    ``violating_positions`` are 0-based offsets into the circular row read
-    (offset 0 is the entry just after the diagonal).  ``max_run_lengths[p]``
-    counts the entries of row p attaining the row maximum.
+    ``violating_positions`` (a, b) are 0-based offsets into the circular
+    read of ``violating_row`` (offset 0 is the entry just after the
+    diagonal): the least entry among offsets a..b-1 breaks the (strict) qcr
+    margin against the largest entry before a and the largest from b on.
+    ``max_run_lengths[p]`` counts the entries of row p within eps of the row
+    maximum.
     """
 
     ok: bool
     violating_row: Optional[int]
     violating_positions: Optional[tuple[int, int]]
     max_run_lengths: np.ndarray
-
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "ok": self.ok,
-            "violating_row": self.violating_row,
-            "violating_positions": list(self.violating_positions)
-            if self.violating_positions
-            else None,
-            "max_run_lengths": [int(c) for c in self.max_run_lengths],
-        }
 
 
 @dataclass(frozen=True)
@@ -130,12 +131,14 @@ class _RowScan:
     strict_violation: Optional[tuple[int, tuple[int, int]]]
 
 
-def _first(mask: np.ndarray, value: bool, default: int) -> np.ndarray:
-    """Per row, the index of the first entry of `mask` equal to `value`, or
-    `default` in rows that have none."""
-    if value:
-        return np.where(mask.any(axis=1), mask.argmax(axis=1), default)
-    return np.where(mask.all(axis=1), default, mask.argmin(axis=1))
+def _break(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of the step masks, the first marked step of `before` (the step
+    count when none is) and the last marked step of `after` (-1 when none
+    is).  The row breaks its order when first < last."""
+    L = before.shape[1]
+    first = np.where(before.any(axis=1), before.argmax(axis=1), L)
+    last = np.where(after.any(axis=1), (L - 1) - after[:, ::-1].argmax(axis=1), -1)
+    return first, last
 
 
 def _scan_block(
@@ -148,47 +151,34 @@ def _scan_block(
     sl = slice(start, start + v.shape[0])
     m = v.max(axis=1)
     plateau = v >= (m[:, None] - eps)
-    cnt = plateau.sum(axis=1)
-    pf = plateau.argmax(axis=1)
-    pl = (L - 1) - plateau[:, ::-1].argmax(axis=1)
-    scan.max_count[sl] = cnt
-    scan.s_off[sl] = 1 + pf
-    scan.e_off[sl] = 1 + pl
+    scan.max_count[sl] = plateau.sum(axis=1)
+    scan.s_off[sl] = 1 + plateau.argmax(axis=1)
+    scan.e_off[sl] = L - plateau[:, ::-1].argmax(axis=1)
     if L < 2:
         return
 
-    diffs = v[:, 1:] - v[:, :-1]
-    fall = diffs < -eps
-    rise = diffs > eps
-    first_fall = _first(fall, True, L)
-    last_rise = (L - 2) - _first(rise[:, ::-1], True, L - 1)
-    w_ok = first_fall >= last_rise
-    # strict: a plateau of at most two adjacent entries, every step before it
-    # rises and every step from its last entry on falls
-    first_flat = _first(rise, False, L - 1)
-    last_flat = (L - 2) - _first(fall[:, ::-1], False, L - 1)
-    narrow = (cnt <= 2) & ((pl - pf) == (cnt - 1))
-    s_ok = narrow & (first_flat >= pf) & (last_flat < pl)
-    scan.weak_ok[sl] = w_ok
-    scan.strict_ok[sl] = s_ok
-    if scan.weak_violation is None and not w_ok.all():
-        b = int(np.flatnonzero(~w_ok)[0])
-        point = int(order_arr[start + b])
-        scan.weak_violation = (point, (int(first_fall[b]) + 1, int(last_rise[b]) + 1))
-    if scan.strict_violation is None and not s_ok.all():
-        b = int(np.flatnonzero(~s_ok)[0])
-        point = int(order_arr[start + b])
-        if narrow[b]:
-            # the first step that breaks a strict rule: a step before the
-            # plateau that does not rise, else one from its end that does
-            # not fall
-            i = int(first_flat[b])
-            if i >= pf[b]:
-                i = int(pl[b] + fall[b, pl[b] :].argmin())
-            pos = (i, i + 1)
-        else:
-            pos = (int(pf[b]), int(pl[b]))
-        scan.strict_violation = (point, pos)
+    # step s joins entries s and s+1
+    step = v[:, 1:] - v[:, :-1]
+    rise, fall = step > eps, step < -eps
+    if eps:
+        # weak: entry s+1 lies more than eps below an earlier entry, entry s
+        # more than eps below a later one
+        ahead = np.maximum.accumulate(v[:, :-1], axis=1)
+        behind = np.maximum.accumulate(v[:, :0:-1], axis=1)[:, ::-1]
+        w_fall, w_rise = v[:, 1:] - ahead < -eps, v[:, :-1] - behind < -eps
+    else:
+        # exact at eps = 0: before the first fall the running maximum is the
+        # previous entry, and the mirror holds for the last rise
+        w_fall, w_rise = fall, rise
+    for ok_out, key, (first, last) in (
+        (scan.weak_ok, "weak_violation", _break(w_fall, w_rise)),
+        (scan.strict_ok, "strict_violation", _break(~rise, ~fall)),
+    ):
+        ok = ok_out[sl] = first >= last
+        if getattr(scan, key) is None and not ok.all():
+            b = int(ok.argmin())
+            pos = (int(first[b]) + 1, int(last[b]) + 1)
+            setattr(scan, key, (int(order_arr[start + b]), pos))
 
 
 def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowScan:
@@ -235,7 +225,7 @@ def _report_from_scan(order_arr: np.ndarray, scan: _RowScan, strict: bool) -> Un
     counts = np.zeros(scan.n, dtype=np.intp)
     counts[order_arr] = scan.max_count
     viol = scan.strict_violation if strict else scan.weak_violation
-    ok = bool(scan.strict_ok.all() if strict else scan.weak_ok.all())
+    ok = viol is None
     return UnimodalityReport(
         ok=ok,
         violating_row=None if ok else viol[0],
@@ -245,7 +235,8 @@ def _report_from_scan(order_arr: np.ndarray, scan: _RowScan, strict: bool) -> Un
 
 
 def is_unimodal(D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0) -> UnimodalityReport:
-    """Each circular row read rises, plateaus at its maximum, then falls.
+    """No circular row read has a falling step before a rising one: no entry
+    lies more than eps below both an earlier and a later entry.
 
     Equivalent to: the order is compatible for quasi-circular Robinson.
     """
@@ -256,7 +247,10 @@ def is_unimodal(D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0) 
 def is_strictly_unimodal(
     D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0
 ) -> UnimodalityReport:
-    """Strict rises and falls, plateau of at most two adjacent maxima.
+    """No circular row read has a step that does not rise by more than eps
+    before one that does not fall by more than eps: each read climbs by more
+    than eps per step, takes at most one step within eps, then falls by
+    more than eps per step.
 
     Equivalent to: the order is compatible for strict quasi-circular Robinson.
     """
@@ -357,7 +351,12 @@ def crossing_violation(
 def verify(
     D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0
 ) -> ClassificationReport:
-    """Classify the order against all four compatibility notions at once."""
+    """Classify the order against all four compatibility notions at once.
+
+    On symmetric input the quasi flags equal the quadruple definitions at
+    every eps, the circular flags at eps = 0 only: at eps > 0 the crossing
+    rule on farthest arcs can differ from pre-circular and circular by arcs.
+    """
     order_arr, scan = _scan(D, order, eps)
     quasi = bool(scan.weak_ok.all())
     strict_quasi = bool(scan.strict_ok.all())

@@ -21,6 +21,7 @@ from circrob import (
 )
 from circrob import verification
 from circrob.oracle import _position_tables
+from circrob.predicates import _holds, _qcr_margin
 from conftest import random_space
 
 LINE_D = DissimilarityMatrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points 1, 2, 4 on a line
@@ -69,8 +70,9 @@ class TestIsStrictlyUnimodal:
         assert is_unimodal(D, canonicalize(range(4))).ok
 
     def test_step_after_plateau_within_eps_rejected(self):
-        # at eps = 1 row 0 reads 5, 4, 3: the plateau is 5, 4 and the step
-        # from its last entry falls by only eps; every other row is strict
+        # at eps = 1 row 0 reads 5, 4, 3: neither step falls by more than
+        # eps, so step 0 (not a rise) comes before step 1 (not a fall); the
+        # witness (1, 2) has 4 - min(5, 3) = eps; every other row is strict
         D = DissimilarityMatrix([[0, 5, 4, 3], [5, 0, 1, 3], [4, 1, 0, 1], [3, 3, 1, 0]])
         order = canonicalize(range(4))
         rep = is_strictly_unimodal(D, order, eps=1.0)
@@ -396,9 +398,18 @@ def _first_crossing(D, order, strict):
 
 
 class TestMidSizeDifferential:
-    """verify against the quadruple definitions at n = 9..14, eps = 0."""
+    """verify against the quadruple definitions at n = 9..14: all four flags
+    and the crossing witnesses at eps = 0, the quasi flags at eps > 0 too."""
 
-    MINIMUMS = {"quasi_not_circular": 20, "strict_quasi": 20, "strict_not_circular": 15}
+    MINIMUMS = {
+        "quasi_not_circular": 20,
+        "strict_quasi": 20,
+        "strict_not_circular": 15,
+        # draws where eps > 0 changes a quasi flag from its eps = 0 value
+        "eps_changes_quasi": 25,
+        "eps_changes_strict": 25,
+    }
+    EPS = (0.05, 0.31)
 
     def test_flags_and_witnesses_match_definitions(self, monkeypatch):
         rng = np.random.default_rng(90210)
@@ -424,6 +435,15 @@ class TestMidSizeDifferential:
                 pre_circular_by_quadruples(D, order, False),
                 pre_circular_by_quadruples(D, order, True),
             ), (D.values.tolist(), seq)
+            changed = {"quasi": False, "strict_quasi": False}
+            for eps in self.EPS:
+                rep_eps = verify(D, order, eps)
+                assert (rep_eps.quasi, rep_eps.strict_quasi) == (
+                    quasi_circular_by_quadruples(D, order, False, eps),
+                    quasi_circular_by_quadruples(D, order, True, eps),
+                ), (D.values.tolist(), seq, eps)
+                changed["quasi"] |= rep_eps.quasi != rep.quasi
+                changed["strict_quasi"] |= rep_eps.strict_quasi != rep.strict_quasi
 
             for strict, unimodal, circular in (
                 (False, rep.quasi, rep.circular),
@@ -444,40 +464,63 @@ class TestMidSizeDifferential:
             seen["quasi_not_circular"] += rep.quasi and not rep.circular
             seen["strict_quasi"] += rep.strict_quasi
             seen["strict_not_circular"] += rep.strict_quasi and not rep.strict_circular
+            seen["eps_changes_quasi"] += changed["quasi"]
+            seen["eps_changes_strict"] += changed["strict_quasi"]
+
+
+def _read(seq, p):
+    """The points of the circular read of the row at position p."""
+    n = len(seq)
+    return np.array([seq[(p + k) % n] for k in range(1, n)], dtype=np.intp)
+
+
+def _read_margins(values, seq, p, i, j, k):
+    """The qcr margin of entries i < j < k of row p's read: with z the row
+    point, the chain x < y < z < t is (read[j], read[k], z, read[i])."""
+    pts = _read(seq, p)
+    return _qcr_margin(values, pts[j], pts[k], seq[p], pts[i])
 
 
 def _reference_scan(values, seq, eps):
-    """The _RowScan fields rebuilt row by row from the rules in the docstrings,
-    each circular read taken entry by entry."""
+    """The _RowScan fields rebuilt row by row: both flags from the qcr/sqcr
+    margin on every triple i < j < k of each circular read, the witness from
+    the documented step rule, (first + 1, last + 1), entry by entry."""
     n = len(seq)
     out = {k: [] for k in ("weak_ok", "strict_ok", "max_count", "s_off", "e_off")}
     out["weak_violation"] = out["strict_violation"] = None
     for p in range(n):
-        row = [values[seq[p], seq[(p + k) % n]] for k in range(1, n)]
+        row = [values[seq[p], x] for x in _read(seq, p)]
+        L = len(row)
+        i, j, k = np.ogrid[:L, :L, :L]
+        inside = np.broadcast_to((i < j) & (j < k), (L, L, L))
+        margins = _read_margins(values, seq, p, i, j, k)[inside]
         top = max(row)
-        plateau = [k for k, x in enumerate(row) if x >= top - eps]
-        pf, pl = plateau[0], plateau[-1]
-        steps = [row[k + 1] - row[k] for k in range(n - 2)]
-        falls = [k for k, d in enumerate(steps) if d < -eps]
-        rises = [k for k, d in enumerate(steps) if d > eps]
-        # weak: no fall before a rise; strict: a plateau of at most two
-        # adjacent entries, strict rises before it, strict falls from its end
-        weak = not (falls and rises and falls[0] < rises[-1])
-        bad = [
-            k for k, d in enumerate(steps) if (k < pf and d <= eps) or (k >= pl and d >= -eps)
-        ]
-        narrow = len(plateau) <= 2 and pl - pf == len(plateau) - 1
-        strict = narrow and not bad
+        plateau = [e for e, x in enumerate(row) if x >= top - eps]
+        steps = range(L - 1)  # step s joins entries s and s+1
+        # weak: a fall (entry s+1 more than eps below an earlier entry)
+        # before a rise (entry s more than eps below a later one); strict: a
+        # step not rising by more than eps before one not falling by more
+        breaks = {
+            "weak": (
+                [s for s in steps if row[s + 1] - max(row[: s + 1]) < -eps],
+                [s for s in steps if row[s] - max(row[s + 1 :]) < -eps],
+            ),
+            "strict": (
+                [s for s in steps if not row[s + 1] - row[s] > eps],
+                [s for s in steps if not row[s + 1] - row[s] < -eps],
+            ),
+        }
         for key, val in (
-            ("weak_ok", weak), ("strict_ok", strict), ("max_count", len(plateau)),
-            ("s_off", pf + 1), ("e_off", pl + 1),
+            ("weak_ok", bool(np.all(_holds(margins, False, eps)))),
+            ("strict_ok", bool(np.all(_holds(margins, True, eps)))),
+            ("max_count", len(plateau)), ("s_off", plateau[0] + 1), ("e_off", plateau[-1] + 1),
         ):
             out[key].append(val)
-        if not weak and out["weak_violation"] is None:
-            out["weak_violation"] = (seq[p], (falls[0] + 1, rises[-1] + 1))
-        if not strict and out["strict_violation"] is None:
-            pos = (bad[0], bad[0] + 1) if narrow else (pf, pl)
-            out["strict_violation"] = (seq[p], pos)
+        for kind, (before, after) in breaks.items():
+            if not out[kind + "_ok"][-1] and out[kind + "_violation"] is None:
+                first = before[0] if before else L - 1
+                last = after[-1] if after else -1
+                out[kind + "_violation"] = (seq[p], (first + 1, last + 1))
     return out
 
 
@@ -517,6 +560,19 @@ class TestRowScan:
                     if k != "n"
                 }
                 assert got == expect, (values.tolist(), seq, eps, rows)
+            # the witness certifies the failure: the least entry among a..b-1
+            # breaks the margin against the largest before a and from b on
+            for strict in (False, True):
+                violation = expect["strict_violation" if strict else "weak_violation"]
+                if violation is None:
+                    continue
+                point, (a, b) = violation
+                p = order.seq.index(point)
+                row = np.array([D.values[point, x] for x in _read(order.seq, p)])
+                i, k = int(row[:a].argmax()), b + int(row[b:].argmax())
+                j = a + int(row[a:b].argmin())
+                margin = _read_margins(D.values, order.seq, p, i, j, k)
+                assert not _holds(margin, strict, eps), (values.tolist(), seq, eps, strict)
             seen["weak_ok"] += expect["weak_violation"] is None
             seen["strict_ok"] += expect["strict_violation"] is None
             seen["weak_bad"] += expect["weak_violation"] is not None
@@ -547,9 +603,10 @@ class TestRowScan:
         assert peak <= 3 * 2**20, peak
 
 
-# eps > 0: the row scan applies eps to neighbouring entries of a row, while
-# qcr and the definitions apply it to every pair, so verify accepts orders
-# the definitions reject.
+# eps > 0.  The quasi case passes only if eps applies to every pair of a row
+# read: applied to neighbouring entries alone, verify accepts the order.
+# The circular case: the crossing test reads farthest arcs taken within eps
+# of each row maximum, and verify accepts an order the definitions reject.
 _EPS_QUASI = (
     [
         [0, 1.101, 1.287, 2.267, 2.035],
@@ -573,10 +630,21 @@ _EPS_CIRCULAR = (
 )
 
 
-@pytest.mark.xfail(
-    raises=AssertionError, strict=True, reason="eps is applied to neighbouring row entries only"
+@pytest.mark.parametrize(
+    "rows, seq",
+    [
+        pytest.param(*_EPS_QUASI, id="quasi"),
+        pytest.param(
+            *_EPS_CIRCULAR,
+            id="circular",
+            marks=pytest.mark.xfail(
+                raises=AssertionError,
+                strict=True,
+                reason="the crossing rule reads farthest arcs within eps of the row maximum",
+            ),
+        ),
+    ],
 )
-@pytest.mark.parametrize("rows, seq", [_EPS_QUASI, _EPS_CIRCULAR], ids=["quasi", "circular"])
 def test_positive_eps_matches_definitions(rows, seq):
     D, order, eps = DissimilarityMatrix(rows), canonicalize(seq), 0.31
     rep = verify(D, order, eps)
