@@ -63,9 +63,9 @@ def _tolerance(text: str) -> float:
 
 
 def _read_npy(path: str) -> np.ndarray:
-    """The array in a .npy file, memory-mapped read-only."""
+    """The array in a .npy file, mapped copy-on-write: the file is never written."""
     try:
-        arr = np.load(path, mmap_mode="r", allow_pickle=False)
+        arr = np.load(path, mmap_mode="c", allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise MatrixFormatError(f"not a readable .npy file: {exc}") from None
     if isinstance(arr, np.ndarray) and arr.dtype.kind in "iuf":

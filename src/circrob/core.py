@@ -8,7 +8,8 @@ as plain tuples.
 
 Comparisons throughout the package take an absolute tolerance ``eps``
 (default 0, i.e. exact): ``a > b`` means ``a - b > eps`` and ``a >= b`` means
-``a - b >= -eps``.  The tolerance itself must be a finite number >= 0.
+``a - b >= -eps``.  The tolerance itself must be a finite number >= 0.  A
+stored matrix is exactly symmetric: within-eps input keeps its lower triangle.
 """
 
 from __future__ import annotations
@@ -61,11 +62,11 @@ def _first(mask: np.ndarray, row0: int) -> Optional[tuple[int, int]]:
     return row0 + i, j
 
 
-def _validate_values(arr: np.ndarray, eps: float) -> None:
+def _validate_values(arr: np.ndarray, eps: float) -> float:
     """Raise MatrixFormatError at the first broken rule, in this order: a
     non-finite entry, the largest asymmetry above eps, a nonzero diagonal, a
-    negative entry, a zero off-diagonal entry.  Works on bands of _BAND rows,
-    so the extra memory is a few bands, not copies of the matrix."""
+    negative entry, a zero off-diagonal entry; else return the largest
+    asymmetry.  Works on bands of _BAND rows, not copies of the matrix."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"matrix must be square, got shape {arr.shape}")
     n = arr.shape[0]
@@ -110,12 +111,14 @@ def _validate_values(arr: np.ndarray, eps: float) -> None:
             f"zero off-diagonal entry at ({i},{j}): distinct points must have"
             " positive dissimilarity"
         )
+    return float(asym)
 
 
 class DissimilarityMatrix:
     """A finite dissimilarity space: symmetric positive values, zero diagonal.
 
-    The stored array is read-only; every operation on it is a pure function.
+    The stored array is read-only and exactly symmetric (within-eps input
+    keeps its lower triangle); every operation on it is a pure function.
     """
 
     __slots__ = ("values", "n")
@@ -125,16 +128,17 @@ class DissimilarityMatrix:
 
     @classmethod
     def _adopt(cls, arr: np.ndarray, eps: float = 0.0) -> "DissimilarityMatrix":
-        """The matrix of an array that nothing else writes (the loader's own
-        array, a read-only memory map), stored without a copy when it is
-        already C-contiguous float64."""
+        """The matrix of an array that nothing else uses (the loader's own
+        array, a copy-on-write memory map), stored without a copy when it is
+        C-contiguous float64; asymmetry within eps is mirrored into it."""
         D = cls.__new__(cls)
         D._store(np.asarray(arr, dtype=np.float64, order="C"), eps)
         return D
 
     def _store(self, arr: np.ndarray, eps: float) -> None:
+        if _validate_values(arr, _check_eps(eps)) > 0:
+            _mirror_lower(arr)
         arr.flags.writeable = False
-        _validate_values(arr, _check_eps(eps))
         self.values = arr
         self.n = int(arr.shape[0])
 
@@ -256,19 +260,23 @@ def _to_floats(tokens: list[str], before: int) -> np.ndarray:
         raise
 
 
+def _mirror_lower(arr: np.ndarray) -> None:
+    """Copy the lower triangle of a square array onto its upper one."""
+    for i in range(arr.shape[0] - 1):
+        arr[i, i + 1 :] = arr[i + 1 :, i]
+
+
 def _fill_from_lower(arr: np.ndarray) -> None:
-    """Turn arr, whose flat start holds the lower triangle row by row
-    (row i: d(i,0)..d(i,i-1)), into the full symmetric matrix in place.
-    Row i is read from flat offset i(i-1)/2 and written at i*n, never before
-    the offsets of rows below i, so filling the last row first overwrites
-    nothing still to be read."""
+    """Turn arr, whose flat start holds the lower triangle row by row (row i:
+    d(i,0)..d(i,i-1)), into the full symmetric matrix in place.  Row i moves
+    up from flat offset i(i-1)/2 to i*n, so moving the last row first is safe."""
     n = arr.shape[0]
     flat = arr.reshape(-1)
     for i in range(n - 1, -1, -1):
         s = i * (i - 1) // 2
         arr[i, :i] = flat[s : s + i]
         arr[i, i] = 0.0
-        arr[i, i + 1 :] = arr[i + 1 :, i]
+    _mirror_lower(arr)
 
 
 def load_matrix(text: str | TextIO, eps: float = 0.0) -> DissimilarityMatrix:
@@ -284,6 +292,7 @@ def load_matrix(text: str | TextIO, eps: float = 0.0) -> DissimilarityMatrix:
     chunk.  Values are converted with float(), which rounds correctly: a
     file written with repr() loads bit-identical.
     """
+    eps = _check_eps(eps)
     if isinstance(text, str):
         text = io.StringIO(text)
     batches = _token_batches(text)

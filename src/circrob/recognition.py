@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence
 import numpy as np
 
 from .core import CircularOrder, DissimilarityMatrix, canonicalize
-from .predicates import _holds, _qcr_margin
+from .predicates import _holds, _lr_margin, _qcr_margin
 from .verification import ClassificationReport, verify
 
 __all__ = [
@@ -69,9 +69,8 @@ def _j_mask(values: np.ndarray, x: int, y: int, eps: float) -> np.ndarray:
     to both.  On strict quasi-circular instances where d(x,y) <= min(d(x,z),
     d(y,z)) for every third point z, it is the arc from x to y of any
     compatible order."""
-    mask = (values[x, y] - np.maximum(values[x], values[y])) > eps
-    mask[x] = True
-    mask[y] = True
+    mask = _holds(_lr_margin(values, x, np.arange(values.shape[0]), y), True, eps)
+    mask[[x, y]] = True
     return mask
 
 

@@ -353,9 +353,9 @@ def verify(
 ) -> ClassificationReport:
     """Classify the order against all four compatibility notions at once.
 
-    On symmetric input the quasi flags equal the quadruple definitions at
-    every eps, the circular flags at eps = 0 only: at eps > 0 the crossing
-    rule on farthest arcs can differ from pre-circular and circular by arcs.
+    The quasi flags equal the quadruple definitions at every eps, the
+    circular flags at eps = 0 only: at eps > 0 the crossing rule on farthest
+    arcs can differ from pre-circular and circular by arcs.
     """
     order_arr, scan = _scan(D, order, eps)
     quasi = bool(scan.weak_ok.all())

@@ -152,6 +152,28 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and re.search(message, err), err
 
+    def test_within_eps_npy_read_like_mirrored_text(self, tmp_path, capsys):
+        # symmetric only within --epsilon: both inputs keep the lower
+        # triangle, and the memory-mapped file is not written
+        rows = np.array(
+            [[0, 2.9, 2.0, 2.3], [2.9, 0, 1.9, 1.6], [2.0, 1.9, 0, 1.7], [2.3, 1.5, 1.7, 0]]
+        )
+        npy = tmp_path / "m.npy"
+        np.save(npy, rows)
+        before = npy.read_bytes()
+        paths = [npy]
+        for name, keep in (("lower", np.tri(4, dtype=bool)), ("upper", ~np.tri(4, k=-1, dtype=bool))):
+            paths.append(tmp_path / f"{name}.txt")
+            mirrored = np.where(keep, rows, rows.T).tolist()
+            paths[-1].write_text("4\n" + "\n".join(" ".join(map(repr, r)) for r in mirrored))
+        outputs = []
+        for path in paths:
+            capsys.readouterr()
+            argv = ["verify", "--input", str(path), "--order", "0,1,2,3", "--epsilon", "0.3"]
+            outputs.append((main([*argv, "--json"]), capsys.readouterr().out))
+        assert outputs[0] == outputs[1] != outputs[2]
+        assert npy.read_bytes() == before
+
     @pytest.mark.parametrize(
         "argv",
         [

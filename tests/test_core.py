@@ -51,7 +51,7 @@ class TestLoadMatrix:
 
     def test_asymmetry_within_tolerance_accepted(self):
         D = load_matrix("2\n0 1.0\n1.005 0", eps=0.01)
-        assert D.n == 2
+        assert D.values[0, 1] == D.values[1, 0] == 1.005
 
     @pytest.mark.parametrize("eps", [float("nan"), -1.0, float("inf")])
     def test_bad_eps_rejected(self, eps):
@@ -61,6 +61,14 @@ class TestLoadMatrix:
             DissimilarityMatrix(np.zeros((1, 1)), eps=eps)
         with pytest.raises(ValueError, match="finite number >= 0"):
             load_matrix("2\n0 1\n1 0", eps=eps)
+
+    def test_eps_checked_before_reading(self):
+        class Unreadable(io.StringIO):
+            def read(self, size=-1):
+                raise OSError("not readable")
+
+        with pytest.raises(ValueError, match="finite number >= 0"):
+            load_matrix(Unreadable(), eps=-1.0)
 
     def test_negative_entry_rejected(self):
         with pytest.raises(MatrixFormatError, match="negative"):
@@ -97,7 +105,8 @@ class TestLoadMatrix:
 def _reference_load(text, eps=0.0):
     """Whole-text parse and whole-matrix checks, the loader's reference:
     split() and float() on every token, the lower triangle filled by a
-    double loop, each check run over the full matrix."""
+    double loop, each check run over the full matrix, and the lower triangle
+    mirrored onto the upper one of an accepted matrix."""
     tokens = text.replace(",", " ").split()
     if not tokens:
         raise MatrixFormatError("empty input")
@@ -149,7 +158,7 @@ def _reference_load(text, eps=0.0):
             f"zero off-diagonal entry at ({i},{j}): distinct points must have"
             " positive dissimilarity"
         )
-    return arr
+    return np.where(np.tri(n, dtype=bool), arr, arr.T)
 
 
 def _outcome(load, text, eps):
@@ -176,11 +185,16 @@ def _render(vals, n, lower, rng):
     return text if rng.random() < 0.3 else text + eol
 
 
+def _valid(rng, n):
+    """A random valid matrix."""
+    vals = np.triu(rng.uniform(0.5, 3.0, size=(n, n)).round(3), 1)
+    return vals + vals.T
+
+
 def _planted(rng, n):
     """A random valid matrix, or one with faults planted at random places,
     ties of the largest asymmetry included."""
-    vals = np.triu(rng.uniform(0.5, 3.0, size=(n, n)).round(3), 1)
-    vals = vals + vals.T
+    vals = _valid(rng, n)
     for _ in range(int(rng.integers(0, 4))):
         i, j = (int(v) for v in rng.integers(0, n, size=2))
         kind = int(rng.integers(0, 7))
@@ -210,23 +224,29 @@ class TestStreamedLoad:
 
         rng = np.random.default_rng(1000 * chunk + len(band))
         monkeypatch.setattr(core, "_CHUNK", chunk)
-        checked = {"ok": 0, "error": 0}
+        checked = {"ok": 0, "error": 0, "asymmetric": 0}
         for trial in range(60):
             n = int(rng.integers(1, 9))
             monkeypatch.setattr(core, "_BAND", 1 if band == "one" else n)
-            vals = _planted(rng, n)
-            lower = n > 1 and rng.random() < 0.4
+            eps = 0.3 if trial % 5 == 0 else 0.0
+            within = eps > 0 and n > 1 and trial % 10 == 0
+            vals = _valid(rng, n) if within else _planted(rng, n)
+            if within:
+                # one entry of a valid matrix changed by less than eps
+                i, j = rng.choice(n, 2, replace=False)
+                vals[i, j] += float(rng.uniform(-0.29, 0.29))
+            lower = not within and n > 1 and rng.random() < 0.4
             if lower:
                 # format B carries only the lower triangle; plant there
                 vals = np.where(np.tri(n, k=-1, dtype=bool), vals, vals.T)
                 np.fill_diagonal(vals, 0.0)
             text = _render(vals, n, lower, rng)
-            eps = 0.3 if trial % 5 == 0 else 0.0
             want = _outcome(_reference_load, text, eps)
             assert _outcome(load_matrix, text, eps) == want, text
             assert _outcome(load_matrix, io.StringIO(text), eps) == want, text
             checked[want[0]] += 1
-        assert checked["ok"] and checked["error"]
+            checked["asymmetric"] += want[0] == "ok" and not np.array_equal(vals, vals.T)
+        assert checked["ok"] and checked["error"] and checked["asymmetric"] >= 4, checked
 
     @pytest.mark.parametrize("chunk", [1, 2, 7])
     def test_bad_tokens_located(self, monkeypatch, chunk):
@@ -321,6 +341,12 @@ class TestNoCopy:
         D = DissimilarityMatrix(owner)
         view[0, 1] = 5.0
         assert D.values[0, 1] == 1.0
+
+    def test_adopt_mirrors_within_eps_in_place(self):
+        arr = np.array([[0.0, 1.0, 2.0], [1.1, 0.0, 1.0], [2.0, 0.9, 0.0]])
+        D = DissimilarityMatrix._adopt(arr, eps=0.2)
+        assert D.values is arr and not arr.flags.writeable
+        assert arr.tolist() == [[0.0, 1.1, 2.0], [1.1, 0.0, 0.9], [2.0, 0.9, 0.0]]
 
     def test_adopt_keeps_float64_c_array(self):
         arr = np.ones((3, 3)) - np.eye(3)

@@ -226,6 +226,25 @@ class TestCompatibleOrders:
         assert d["orders"] == [[0, 1, 2, 3], [0, 1, 3, 2]]
         assert d["bipartition"] == {"N": [0, 1], "F": [2, 3], "delta": 1.0}
 
+    def test_within_eps_asymmetry_reads_lower_triangle(self):
+        # noisy circles symmetric only within eps: the construction, the
+        # scan and the bipartition all read the stored lower triangle, so the
+        # answer equals that of the mirrored lower triangle
+        rng = np.random.default_rng(5151)
+        eps = 0.05
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            for _ in range(300):
+                n = int(rng.integers(5, 8))
+                noise = rng.uniform(-eps / 4, eps / 4, (n, n))
+                vals = circle_instance(n, "chord").values + noise
+                np.fill_diagonal(vals, 0.0)
+                lower = np.tril(vals) + np.tril(vals, -1).T
+                for cls in ("strict-quasi", "strict-circular"):
+                    got = compatible_orders(DissimilarityMatrix(vals, eps), cls, eps)
+                    want = compatible_orders(DissimilarityMatrix(lower, eps), cls, eps)
+                    assert got.to_json_dict() == want.to_json_dict(), (vals.tolist(), cls)
+
 
 class TestCandidateReports:
     @pytest.fixture(params=["circle", "two-cluster", "perturbed", "fixture"])

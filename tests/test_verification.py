@@ -399,7 +399,8 @@ def _first_crossing(D, order, strict):
 
 class TestMidSizeDifferential:
     """verify against the quadruple definitions at n = 9..14: all four flags
-    and the crossing witnesses at eps = 0, the quasi flags at eps > 0 too."""
+    and the crossing witnesses at eps = 0, the quasi flags at eps > 0 too,
+    there also on a copy of the draw symmetric only within eps."""
 
     MINIMUMS = {
         "quasi_not_circular": 20,
@@ -413,6 +414,7 @@ class TestMidSizeDifferential:
 
     def test_flags_and_witnesses_match_definitions(self, monkeypatch):
         rng = np.random.default_rng(90210)
+        noise = np.random.default_rng(90211)  # its own stream: the draws do not shift
         seen = dict.fromkeys(self.MINIMUMS, 0)
         drawn = 0
         while any(seen[k] < m for k, m in self.MINIMUMS.items()):
@@ -442,6 +444,13 @@ class TestMidSizeDifferential:
                     quasi_circular_by_quadruples(D, order, False, eps),
                     quasi_circular_by_quadruples(D, order, True, eps),
                 ), (D.values.tolist(), seq, eps)
+                noisy = D.values + np.triu(noise.uniform(0, eps / 2, (n, n)), 1)
+                D_noisy = DissimilarityMatrix(noisy, eps)
+                rep_noisy = verify(D_noisy, order, eps)
+                assert (rep_noisy.quasi, rep_noisy.strict_quasi) == (
+                    quasi_circular_by_quadruples(D_noisy, order, False, eps),
+                    quasi_circular_by_quadruples(D_noisy, order, True, eps),
+                ), (noisy.tolist(), seq, eps)
                 changed["quasi"] |= rep_eps.quasi != rep.quasi
                 changed["strict_quasi"] |= rep_eps.strict_quasi != rep.strict_quasi
 
@@ -630,12 +639,23 @@ _EPS_CIRCULAR = (
 )
 
 
+# Symmetric only within eps: the row scan and the definitions both read the
+# stored lower triangle.
+_EPS_ASYMMETRIC = (
+    [[0, 2.5, 1.2, 1.4], [2.6, 0, 2.6, 2.2], [1.1, 2.7, 0, 1.2], [1.4, 2.3, 1.1, 0]],
+    (0, 1, 2, 3),
+    0.3,
+)
+
+
 @pytest.mark.parametrize(
-    "rows, seq",
+    "rows, seq, eps",
     [
-        pytest.param(*_EPS_QUASI, id="quasi"),
+        pytest.param(*_EPS_QUASI, 0.31, id="quasi"),
+        pytest.param(*_EPS_ASYMMETRIC, id="asymmetric"),
         pytest.param(
             *_EPS_CIRCULAR,
+            0.31,
             id="circular",
             marks=pytest.mark.xfail(
                 raises=AssertionError,
@@ -645,8 +665,8 @@ _EPS_CIRCULAR = (
         ),
     ],
 )
-def test_positive_eps_matches_definitions(rows, seq):
-    D, order, eps = DissimilarityMatrix(rows), canonicalize(seq), 0.31
+def test_positive_eps_matches_definitions(rows, seq, eps):
+    D, order = DissimilarityMatrix(rows, eps), canonicalize(seq)
     rep = verify(D, order, eps)
     assert (rep.quasi, rep.circular) == (
         quasi_circular_by_quadruples(D, order, False, eps),
