@@ -34,12 +34,6 @@ from .recognition import compatible_orders
 from .verification import verify
 
 _CLASSES = ("quasi", "strict-quasi", "circular", "strict-circular")
-_FLAG_BY_CLASS = {
-    "quasi": "quasi",
-    "strict-quasi": "strict_quasi",
-    "circular": "circular",
-    "strict-circular": "strict_circular",
-}
 
 
 def _fmt_order(seq) -> str:
@@ -174,7 +168,7 @@ def _cmd_verify(args) -> int:
             f"strict-circular: {report.strict_circular}",
         ],
     )
-    return 0 if getattr(report, _FLAG_BY_CLASS[args.cls]) else 1
+    return 0 if getattr(report, args.cls.replace("-", "_")) else 1
 
 
 def _cmd_oracle(args) -> int:

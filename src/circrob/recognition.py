@@ -225,12 +225,9 @@ def compatible_orders(
     O(n^2), and keeps exactly the ones that pass.  Empty result means the
     space is not strictly (quasi-)circular Robinson.
     """
-    if strictness == STRICT_QUASI:
-        flag = "strict_quasi"
-    elif strictness == STRICT_CIRCULAR:
-        flag = "strict_circular"
-    else:
+    if strictness not in (STRICT_QUASI, STRICT_CIRCULAR):
         raise ValueError(f"unknown strictness {strictness!r}")
+    flag = strictness.replace("-", "_")
     seen: list[CircularOrder] = []
     for cand in _candidates(D, eps):
         order = canonicalize(cand)

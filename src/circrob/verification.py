@@ -19,10 +19,10 @@ x < y' < y < x' around the cycle (the farthest arcs must interleave).  In the
 non-strict mode a witness only counts when x, x' avoid F_y and y, y' avoid
 F_x.  The farthest set of every point is an arc of the order whenever the
 matrix is unimodal, so the witness search works on the arc extremities S and
-E alone: per position p it is one range minimum of the keys u + S[u mod n]
-(or u + E) over a window of the unrolled cycle u in [0, 2n), answered for all
-p at once by a sparse table in O(n log n).  ``verify`` thus costs one O(n^2)
-row scan plus O(n log n).
+E alone.  On the unrolled cycle u in [0, 2n), a point crosses some partner
+iff the suffix minimum of the keys u + S[u mod n] (or u + E) passes it, or
+the prefix maximum of the other keys does: two running extrema, so the
+crossing test is O(n) and ``verify`` costs one O(n^2) row scan plus O(n).
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
 stay in cache.  A block's rows are reordered once into a buffer, each
@@ -258,29 +258,6 @@ def is_strictly_unimodal(
     return _report_from_scan(order_arr, scan, strict=True)
 
 
-def _in_arc(coord, lo, hi):
-    return (lo <= coord) & (coord <= hi)
-
-
-def _range_min(keys: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """min(keys[lo[i]..hi[i]]) for every i, the largest intp where the range
-    is empty, from a sparse table of log2 levels (Bender & Farach-Colton)."""
-    empty = hi < lo
-    lo = np.where(empty, 0, lo)
-    length = np.where(empty, 1, hi - lo + 1)
-    k = np.frexp(length)[1] - 1  # floor(log2(length)), exact for integers
-    m = keys.size
-    table = np.empty((int(k.max()) + 1, m), dtype=keys.dtype)
-    table[0] = keys
-    for j in range(1, table.shape[0]):
-        h = 1 << (j - 1)
-        c = m - 2 * h + 1  # windows of 2h entries that fit
-        np.minimum(table[j - 1, :c], table[j - 1, h : h + c], out=table[j, :c])
-    out = np.minimum(table[k, lo], table[k, lo + length - (1 << k)])
-    out[empty] = np.iinfo(out.dtype).max
-    return out
-
-
 def _crossing_from_scan(
     order_arr: np.ndarray, scan: _RowScan, strict: bool
 ) -> Optional[CrossingWitness]:
@@ -290,37 +267,31 @@ def _crossing_from_scan(
     # Offsets relative to each point: the farthest arc of the point at
     # position p spans offsets S[p]..E[p] in 1..n-1 after cutting the cycle
     # at p.  On the unrolled axis u = p + t, the point y at offset t sees x
-    # at offset n - t, so "S[y] < n - t" reads "u + S[u mod n] < p + n".
-    # Strict pattern 1 asks that of the partners past x's near end S[p],
-    # strict pattern 2 the mirror image on the far ends (a maximum, taken as
-    # the minimum of negated keys).  The non-strict mode keeps only pairs
-    # with x and y outside each other's arc, which swaps the ends: pattern 1
-    # then runs past E[p] on keys u + E, pattern 2 up to S[p] on keys u + S.
+    # at offset n - t.  Pattern 1 (x<x'<y<y') asks for a partner past x's
+    # near end a[p] whose own near end falls short of x: near[u] < p + n.
+    # Pattern 2 (x<y'<y<x') asks for a partner before x's far end b[p]
+    # whose far end passes x: far[u] > p + n.  Strict arcs are a, b = S, E;
+    # the non-strict mode keeps only x and y outside each other's arc, which
+    # swaps the ends.  near[u] >= u + 1 and far[u] <= u + n - 1, so no u past
+    # the pattern-1 window (u >= p + n) and none before the pattern-2 window
+    # (u <= p) can hit: each window stretches to the end (start) of the axis,
+    # and one suffix minimum and one prefix maximum test every p in O(n).
     S, E = scan.s_off, scan.e_off
-    pos = np.arange(n)
-    u = np.arange(2 * n)
     a, b = (S, E) if strict else (E, S)
-    hits = _range_min(u + np.tile(a, 2), pos + a + 1, pos + n - 1) < pos + n
-    hits |= _range_min(-(u + np.tile(b, 2)), pos + 1, pos + b - 1) < -(pos + n)
+    u = np.arange(2 * n)
+    near, far = u + np.tile(a, 2), u + np.tile(b, 2)
+    pos = np.arange(n)
+    hits = np.minimum.accumulate(near[::-1])[::-1][pos + a + 1] < pos + n
+    hits |= np.maximum.accumulate(far)[pos + b - 1] > pos + n
     if not hits.any():
         return None
-    # The first hit row gets the pairwise rule, for the first partner y at
-    # offset t and its pattern: near arc ends for x<x'<y<y', far ones for
-    # x<y'<y<x', and in the non-strict mode x and y outside each other's arc
-    # (x' and y' then are too, since an arc reaching one of them would pass
-    # over x or y).
+    # the first partner y of the first hit x, pattern 1 before pattern 2
     px = int(hits.argmax())
     t = np.arange(1, n)
-    q = (px + t) % n
-    sx, ex, sy, ey = S[px], E[px], S[q], E[q]
-    pat1 = (sx < t) & (sy < n - t)
-    pat2 = (ex > t) & (ey > n - t)
-    if not strict:
-        pair_ok = ~_in_arc(t, sx, ex) & ~_in_arc(n - t, sy, ey)
-        pat1 &= pair_ok
-        pat2 &= pair_ok
+    pat1 = (t > a[px]) & (near[px + t] < px + n)
+    pat2 = (t < b[px]) & (far[px + t] > px + n)
     j = int((pat1 | pat2).argmax())
-    py = int(q[j])
+    py = (px + 1 + j) % n
     ends, pattern = (S, "x<x'<y<y'") if pat1[j] else (E, "x<y'<y<x'")
     return CrossingWitness(
         x=int(order_arr[px]),
@@ -358,39 +329,19 @@ def verify(
     arcs can differ from pre-circular and circular by arcs.
     """
     order_arr, scan = _scan(D, order, eps)
-    quasi = bool(scan.weak_ok.all())
-    strict_quasi = bool(scan.strict_ok.all())
-    witnesses: dict[str, Any] = {}
-
-    if not quasi:
-        point, pos = scan.weak_violation
-        witnesses["quasi"] = {"row": point, "positions": list(pos)}
-    if not strict_quasi:
-        point, pos = scan.strict_violation
-        witnesses["strict_quasi"] = {"row": point, "positions": list(pos)}
-
-    if quasi:
-        w = _crossing_from_scan(order_arr, scan, strict=False)
-        circular = w is None
-        if w is not None:
-            witnesses["circular"] = w
-    else:
-        circular = False
-        witnesses["circular"] = witnesses["quasi"]
-
-    if strict_quasi:
-        w = _crossing_from_scan(order_arr, scan, strict=True)
-        strict_circular = w is None
-        if w is not None:
-            witnesses["strict_circular"] = w
-    else:
-        strict_circular = False
-        witnesses["strict_circular"] = witnesses["strict_quasi"]
-
+    found: dict[str, Any] = {}
+    for strict, viol, quasi_key, circ_key in (
+        (False, scan.weak_violation, "quasi", "circular"),
+        (True, scan.strict_violation, "strict_quasi", "strict_circular"),
+    ):
+        if viol is not None:
+            point, pos = viol
+            found[quasi_key] = found[circ_key] = {"row": point, "positions": list(pos)}
+        elif (w := _crossing_from_scan(order_arr, scan, strict)) is not None:
+            found[circ_key] = w
+    # flags and witnesses in field order, the quasi witnesses first
+    keys = ("quasi", "strict_quasi", "circular", "strict_circular")
     return ClassificationReport(
-        quasi=quasi,
-        strict_quasi=strict_quasi,
-        circular=circular,
-        strict_circular=strict_circular,
-        witnesses=witnesses,
+        **{key: key not in found for key in keys},
+        witnesses={key: found[key] for key in keys if key in found},
     )

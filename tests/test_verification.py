@@ -213,6 +213,13 @@ class TestVerify:
         clean = verify(fixture4, canonicalize((0, 1, 3, 2))).to_json_dict()
         assert clean["witness"] is None
 
+    def test_witness_key_order(self, fixture4):
+        # the quasi witnesses come first, then the circular ones
+        bad = verify(fixture4, canonicalize((0, 2, 1, 3))).to_json_dict()
+        assert list(bad["witness"]) == ["quasi", "strict_quasi", "circular", "strict_circular"]
+        natural = verify(fixture4, canonicalize(range(4))).to_json_dict()
+        assert list(natural["witness"]) == ["circular", "strict_circular"]
+
     @pytest.mark.parametrize("eps", [float("nan"), -0.5])
     def test_bad_eps_rejected(self, fixture4, eps):
         # at eps = nan every comparison would be False: the bad order
@@ -595,8 +602,8 @@ class TestRowScan:
 
     def test_verify_peak_memory_at_n_4000(self):
         # the scan holds one block buffer of _BLOCK_BYTES and its masks, the
-        # crossing test a sparse table of ~0.8 MiB; (64, n-1) index arrays
-        # and gathered blocks would not fit
+        # crossing test a few key arrays of 2n entries (~64 KiB each);
+        # (64, n-1) index arrays and gathered blocks would not fit
         import tracemalloc
 
         from circrob import circle_instance
@@ -676,8 +683,8 @@ def test_positive_eps_matches_definitions(rows, seq, eps):
 
 def _block_crossing(order_arr, S, E, strict):
     """The (64, n-1) pair-block crossing rule, kept as the reference for the
-    range-minimum sweep: every pair (x at position p, y at offset t) tested
-    at once, first hit in position order."""
+    running-extremum sweep: every pair (x at position p, y at offset t)
+    tested at once, first hit in position order."""
     n = S.size
     if n < 4:
         return None
@@ -740,26 +747,38 @@ class TestRangeMinSweep:
 
     def test_matches_block_rule(self):
         rng = np.random.default_rng(5150)
+
+        def check(S, E):
+            order_arr = rng.permutation(S.size)
+            scan = _arc_scan(S, E)
+            found = {}
+            for strict in (False, True):
+                got = found[strict] = verification._crossing_from_scan(order_arr, scan, strict)
+                assert got == _block_crossing(order_arr, S, E, strict), (
+                    S.tolist(), E.tolist(), strict
+                )
+            return found
+
         no_hit = {False: 0, True: 0}
         hit = {False: 0, True: 0}
         drawn = 0
         while min(no_hit.values()) < 200 or min(hit.values()) < 200:
             drawn += 1
             assert drawn <= 5000, (no_hit, hit)
-            n = int(rng.integers(4, 65))
-            S, E = _random_arcs(rng, n)
-            order_arr = rng.permutation(n)
-            scan = _arc_scan(S, E)
-            for strict in (False, True):
-                got = verification._crossing_from_scan(order_arr, scan, strict)
-                assert got == _block_crossing(order_arr, S, E, strict), (
-                    S.tolist(), E.tolist(), strict
-                )
+            for strict, got in check(*_random_arcs(rng, int(rng.integers(4, 65)))).items():
                 (hit if got else no_hit)[strict] += 1
+        # the window ends: position n-1 with S = E = n-1 starts its pattern-1
+        # window at the last index 2n-1; S = E = 1 everywhere leaves every
+        # pattern-2 window empty, S = E = n-1 every pattern-1 window
+        for n in (4, 5, 64):
+            S, E = _random_arcs(rng, n)
+            S[-1] = E[-1] = n - 1
+            for arcs in ((S, E), (np.ones(n, np.intp),) * 2, (np.full(n, n - 1, np.intp),) * 2):
+                check(*arcs)
 
     def test_peak_memory_at_n_10000(self):
-        # the sparse table holds log2(n) rows of 2n keys; the pair blocks it
-        # replaces held (64, n-1) arrays, ~27 MiB at this n
+        # the running extrema hold a few arrays of 2n keys; the pair blocks
+        # they replace held (64, n-1) arrays, ~27 MiB at this n
         import tracemalloc
 
         n = 10_000
@@ -774,15 +793,3 @@ class TestRangeMinSweep:
             finally:
                 tracemalloc.stop()
             assert peak <= 8 * 2**20, peak
-
-    @pytest.mark.parametrize("n", [4, 5, 17, 64])
-    def test_range_min_matches_slices(self, n):
-        rng = np.random.default_rng(n)
-        keys = rng.integers(-50, 50, 2 * n)
-        lo = rng.integers(0, 2 * n, 300)
-        hi = lo + rng.integers(-2, 2 * n, 300)
-        hi = np.minimum(hi, 2 * n - 1)
-        got = verification._range_min(keys, lo, hi)
-        for g, a, b in zip(got, lo, hi):
-            expect = keys[a : b + 1].min() if b >= a else np.iinfo(np.intp).max
-            assert g == expect

@@ -9,7 +9,8 @@ in-process by both trees: `verification._scan_rows` (the O(n^2) row scan) and `v
 figure is the best of REPEATS rounds.  A banded ``values.max()`` over the
 same matrix is the one-pass reference, so scan/pass says how far the scan is
 from reading the matrix once.  Both trees must give the same scan fields and
-the same `verify` report, or the script stops.
+the same `verify` report, as JSON text (key order included), or the script
+stops.
 """
 
 from __future__ import annotations
@@ -101,7 +102,8 @@ def _row(trees: dict, n: int, labels: str) -> dict:
             verify = trees[t].verify
             reports[t] = _timed(lambda: verify(D, order), times[f"verify_{t}"])
     if _fields(scans["before"]) != _fields(scans["after"]) or (
-        reports["before"].to_json_dict() != reports["after"].to_json_dict()
+        json.dumps(reports["before"].to_json_dict())
+        != json.dumps(reports["after"].to_json_dict())
     ):
         sys.exit(f"trees disagree at n={n}, {labels} labels")
     best = {k: min(v) for k, v in times.items()}
