@@ -194,6 +194,22 @@ def canonicalize(seq: Sequence[int]) -> CircularOrder:
     return CircularOrder(tuple(int(v) for v in fwd))
 
 
+def _check_indices(points: Iterable[int], n: int) -> None:
+    """ValueError unless every point is an index in range(n)."""
+    for p in points:
+        if not 0 <= p < n:
+            raise ValueError(f"index out of range: {p}")
+
+
+def _check_order(D: DissimilarityMatrix, order: CircularOrder) -> np.ndarray:
+    """The order's points as an index array; ValueError unless the order
+    has the matrix's n points."""
+    order_arr = np.asarray(order.seq, dtype=np.intp)
+    if order_arr.size != D.n:
+        raise ValueError(f"order has {order_arr.size} points, matrix has {D.n}")
+    return order_arr
+
+
 def chain_holds(order: CircularOrder, points: Sequence[int]) -> bool:
     """Whether the points, in the given sequence, lie in this cyclic order.
 
@@ -204,9 +220,7 @@ def chain_holds(order: CircularOrder, points: Sequence[int]) -> bool:
     n = len(order)
     if not points:
         raise ValueError("points must be nonempty")
-    for p in points:
-        if not 0 <= p < n:
-            raise ValueError(f"index out of range: {p}")
+    _check_indices(points, n)
     pos = {p: i for i, p in enumerate(order.seq)}
     for i, j, k in combinations(range(len(points)), 3):
         u, v, w = points[i], points[j], points[k]
@@ -221,8 +235,7 @@ def farthest_set(D: DissimilarityMatrix, x: int) -> tuple[float, frozenset[int]]
     """Eccentricity of x and its set of farthest neighbors."""
     if D.n < 2:
         raise ValueError("farthest neighbors need at least two points")
-    if not 0 <= x < D.n:
-        raise ValueError(f"index out of range: {x}")
+    _check_indices((x,), D.n)
     row = D.values[x]
     mask = np.arange(D.n) != x
     r = float(row[mask].max())

@@ -13,8 +13,12 @@ Which positions to compare depends on n alone, so each n has one set of
 position tables: every 4-subset of positions with its four rotations (the
 chain quadruples), every 3-subset with its three rotations (the middle
 position second), and a mask of the rotated triples that lie inside each
-arc of each pair.  A block of orders is one array program: gather the
-points through the tables, evaluate each margin once, reduce.
+arc of each pair.  A block of B orders is one array program.  Its distances
+are read once into position space, w[p, q, b] = d(orders[b, p],
+orders[b, q]), an (n, n, B) array the tables index directly; each margin is
+evaluated once on w and reduced over the tables.  The arc rule counts the
+failing triples inside each arc with one float32 product of the mask and
+the failing triples: an arc with a count > 0 is broken.
 ``oracle_classify`` sweeps every canonical order in blocks of _BLOCK.
 Degenerate chains (with coincident points) hold trivially for the non-strict
 conditions and the strict ones are defined on distinct points only, so only
@@ -31,7 +35,7 @@ from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .core import CircularOrder, DissimilarityMatrix, _check_eps
+from .core import CircularOrder, DissimilarityMatrix, _check_eps, _check_indices, _check_order
 from .predicates import _cr_margin, _holds, _lr_margin, _qcr_margin
 
 __all__ = [
@@ -84,7 +88,9 @@ def _position_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     the middle to the last, lies inside an arc when that walk starts inside
     it and ends no later than the arc does.  The mask takes O(n^5) bytes
     and its build peaks at about 16 times that: 0.2 and 3 MiB at n = 14,
-    10 and 160 MiB at n = 30.
+    10 and 160 MiB at n = 30.  Each _flags call copies it to float32, four
+    times its size (a one-order call peaks at 0.8 MiB at n = 14, 41 MiB at
+    n = 30).
     """
     triples = _rotations(n, 3)
     walk = (triples[:, 2] - triples[:, 0]) % n
@@ -102,21 +108,25 @@ def _flags(v: np.ndarray, orders: np.ndarray, eps: float) -> np.ndarray:
     OracleClassification: each notion weak, then strict."""
     quads, triples, arcs = _position_tables(orders.shape[1])
     points = orders.T
-    x, y, z, t = points[quads]
+    # w[p, q, b] = d(orders[b, p], orders[b, q]): the tables index positions
+    w = v[points[:, None], points[None, :]]
     out = []
-    for margin in (_cr_margin(v, x, y, z, t), _qcr_margin(v, x, y, z, t)):
+    for margin in (_cr_margin(w, *quads), _qcr_margin(w, *quads)):
         out += [_holds(margin, strict, eps).all(axis=0) for strict in (False, True)]
     # an arc is broken when it holds a failing triple; the arc rule fails
-    # when both arcs of some pair are
-    linear = _lr_margin(v, *points[triples])
+    # when both arcs of some pair are.  The float32 product counts an arc's
+    # failing triples exactly: at most C(n, 3), far below 2**24.
+    linear = _lr_margin(w, *triples)
+    inside = arcs.astype(np.float32)
     for strict in (False, True):
-        broken = (arcs @ ~_holds(linear, strict, eps)).reshape(-1, 2, orders.shape[0])
+        failing = ~_holds(linear, strict, eps)
+        broken = (inside @ failing.astype(np.float32) > 0).reshape(-1, 2, orders.shape[0])
         out.append(~broken.all(axis=1).any(axis=0))
     return np.array(out)
 
 
 def _one_order(D: DissimilarityMatrix, order: CircularOrder, eps: float) -> np.ndarray:
-    return _flags(D.values, np.array([order.seq], dtype=np.intp), _check_eps(eps))[:, 0]
+    return _flags(D.values, _check_order(D, order)[None], _check_eps(eps))[:, 0]
 
 
 def enumerate_circular_orders(n: int) -> Iterator[CircularOrder]:
@@ -141,6 +151,7 @@ def is_linear_robinson(
     d(x,z) >= max(d(x,y), d(y,z)) for every triple x < y < z along it
     (strict: >).  O(m^3)."""
     seq = np.asarray(linear_seq, dtype=np.intp)
+    _check_indices(seq.tolist(), D.n)
     if np.unique(seq).size != seq.size:
         raise ValueError("sequence has repeated indices")
     margin = _lr_margin(D.values, *seq[_subsets(seq.size, 3).T])

@@ -38,7 +38,7 @@ from typing import Any, Optional
 
 import numpy as np
 
-from .core import CircularOrder, DissimilarityMatrix, _check_eps
+from .core import CircularOrder, DissimilarityMatrix, _check_eps, _check_order
 
 __all__ = [
     "UnimodalityReport",
@@ -215,9 +215,7 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
 def _scan(
     D: DissimilarityMatrix, order: CircularOrder, eps: float
 ) -> tuple[np.ndarray, _RowScan]:
-    order_arr = np.asarray(order.seq, dtype=np.intp)
-    if order_arr.size != D.n:
-        raise ValueError(f"order has {order_arr.size} points, matrix has {D.n}")
+    order_arr = _check_order(D, order)
     return order_arr, _scan_rows(D.values, order_arr, _check_eps(eps))
 
 

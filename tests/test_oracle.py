@@ -1,3 +1,4 @@
+from dataclasses import fields
 from itertools import combinations
 
 import numpy as np
@@ -14,6 +15,7 @@ from circrob import (
     enumerate_circular_orders,
     is_linear_robinson,
     oracle_classify,
+    perturb,
     pre_circular_by_quadruples,
     qcr,
     quasi_circular_by_quadruples,
@@ -181,36 +183,65 @@ class TestPositionTables:
                 assert spans[0] & spans[1] == {a, b}
 
     def test_sweeps_match_scalar_predicates(self):
-        # the one-order sweeps against the scalar predicates on the chain
-        # quadruples, and the arc rule against is_linear_robinson on the two
-        # arcs of each pair: this checks the position tables and rotations
+        # the one-order sweeps against the scalar predicates: this checks the
+        # position tables and rotations
         rng = np.random.default_rng(4711)
         for _ in range(40):
             D = mixed_small_space(rng, n_lo=4, n_hi=7)
-            seq = canonicalize(rng.permutation(D.n)).seq
-            n = len(seq)
-            chains = [
-                Quadruple(*(seq[p] for p in ps[r:] + ps[:r]))
-                for ps in combinations(range(n), 4)
-                for r in range(4)
-            ]
-            arcs = [
-                (seq[a : b + 1], seq[b:] + seq[: a + 1]) for a, b in combinations(range(n), 2)
-            ]
-            order = canonicalize(seq)
+            order = canonicalize(rng.permutation(D.n))
             for eps in (0.0, 0.31):
-                for strict, (pre, quasi) in ((False, (cr, qcr)), (True, (scr, sqcr))):
-                    assert pre_circular_by_quadruples(D, order, strict, eps) == all(
-                        pre(D, q, eps) for q in chains
+                swept = [
+                    sweep(D, order, strict, eps)
+                    for sweep in (
+                        pre_circular_by_quadruples,
+                        quasi_circular_by_quadruples,
+                        circular_robinson_by_arcs,
                     )
-                    assert quasi_circular_by_quadruples(D, order, strict, eps) == all(
-                        quasi(D, q, eps) for q in chains
-                    )
-                    assert circular_robinson_by_arcs(D, order, strict, eps) == all(
-                        is_linear_robinson(D, one, strict, eps)
-                        or is_linear_robinson(D, other, strict, eps)
-                        for one, other in arcs
-                    )
+                    for strict in (False, True)
+                ]
+                assert swept == _scalar_flags(D, order.seq, eps)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_classify_matches_scalar_predicates(self, n):
+        # whole blocks of orders against a per-order loop: 12 and 60 orders,
+        # so the last block is partial
+        rng = np.random.default_rng(2718 + n)
+        orders = list(enumerate_circular_orders(n))
+        cases = [circle_instance(n, "arc"), perturb(circle_instance(n, "chord"), 0.02, seed=n)]
+        cases += [mixed_small_space(rng, n_lo=n, n_hi=n) for _ in range(4)]
+        found = 0
+        for D in cases:
+            for eps in (0.0, 0.31):
+                oc = oracle_classify(D, eps)
+                flags = [_scalar_flags(D, o.seq, eps) for o in orders]
+                expected = [
+                    tuple(o for o, f in zip(orders, flags) if f[i]) for i in range(len(fields(oc)))
+                ]
+                assert [getattr(oc, f.name) for f in fields(oc)] == expected
+                found += sum(map(len, expected))
+        assert found > 0
+
+
+def _scalar_flags(D, seq, eps):
+    """The six flags of one order, in the field order of
+    OracleClassification, from the scalar predicates on every chain
+    quadruple and is_linear_robinson on both arcs of every pair."""
+    n = len(seq)
+    chains = [
+        Quadruple(*(seq[p] for p in ps[r:] + ps[:r]))
+        for ps in combinations(range(n), 4)
+        for r in range(4)
+    ]
+    arcs = [(seq[a : b + 1], seq[b:] + seq[: a + 1]) for a, b in combinations(range(n), 2)]
+    flags = [all(holds(D, q, eps) for q in chains) for holds in (cr, scr, qcr, sqcr)]
+    flags += [
+        all(
+            is_linear_robinson(D, one, strict, eps) or is_linear_robinson(D, other, strict, eps)
+            for one, other in arcs
+        )
+        for strict in (False, True)
+    ]
+    return flags
 
 
 @pytest.mark.parametrize("eps", [float("nan"), -1.0])
@@ -226,6 +257,20 @@ def test_bad_eps_rejected(eps):
     for check in checks:
         with pytest.raises(ValueError, match="finite number >= 0"):
             check()
+
+
+@pytest.mark.parametrize("seq", [(-1, 0, 1), (0, 1, 4)])
+def test_linear_index_out_of_range(seq):
+    with pytest.raises(ValueError, match="index out of range"):
+        is_linear_robinson(counterexample_fixture(), seq)
+
+
+@pytest.mark.parametrize(
+    "sweep", [pre_circular_by_quadruples, quasi_circular_by_quadruples, circular_robinson_by_arcs]
+)
+def test_order_length_must_match(sweep):
+    with pytest.raises(ValueError, match="order has 3 points, matrix has 4"):
+        sweep(counterexample_fixture(), canonicalize((0, 1, 2)))
 
 
 class TestSixPointChainBound:
