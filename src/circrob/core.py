@@ -203,11 +203,10 @@ def _check_indices(points: Iterable[int], n: int) -> None:
 
 def _check_order(D: DissimilarityMatrix, order: CircularOrder) -> np.ndarray:
     """The order's points as an index array; ValueError unless the order
-    has the matrix's n points."""
-    order_arr = np.asarray(order.seq, dtype=np.intp)
-    if order_arr.size != D.n:
-        raise ValueError(f"order has {order_arr.size} points, matrix has {D.n}")
-    return order_arr
+    is a permutation of the matrix's n points."""
+    if len(order.seq) != D.n:
+        raise ValueError(f"order has {len(order.seq)} points, matrix has {D.n}")
+    return _check_permutation(order.seq)
 
 
 def chain_holds(order: CircularOrder, points: Sequence[int]) -> bool:

@@ -77,6 +77,16 @@ def _order_table(n: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(rows), np.intp, count).reshape(-1, n)
 
 
+@lru_cache(maxsize=MAX_CLASSIFY_N)
+def _classify_table(n: int) -> np.ndarray:
+    """_order_table(n) for oracle_classify, cached and read-only.  Only
+    n <= MAX_CLASSIFY_N comes here: the tables of enumerate_circular_orders
+    beyond it (1.45 MB at n = 9, 14.5 MB at n = 10) are not kept."""
+    table = _order_table(n)
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=16)
 def _position_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Chain quadruples (4, Q), rotated triples (3, T) and the arc mask
@@ -203,7 +213,7 @@ def oracle_classify(D: DissimilarityMatrix, eps: float = 0.0) -> OracleClassific
     if D.n > MAX_CLASSIFY_N:
         raise ValueError(f"oracle classification is capped at n <= {MAX_CLASSIFY_N}")
     eps = _check_eps(eps)
-    table = _order_table(D.n)
+    table = _classify_table(D.n)
     flags = np.concatenate(
         [_flags(D.values, table[s : s + _BLOCK], eps) for s in range(0, len(table), _BLOCK)],
         axis=1,

@@ -22,7 +22,10 @@ matrix is unimodal, so the witness search works on the arc extremities S and
 E alone.  On the unrolled cycle u in [0, 2n), a point crosses some partner
 iff the suffix minimum of the keys u + S[u mod n] (or u + E) passes it, or
 the prefix maximum of the other keys does: two running extrema, so the
-crossing test is O(n) and ``verify`` costs one O(n^2) row scan plus O(n).
+crossing test is O(n).  ``verify`` costs at most one O(n^2) row scan plus
+O(n): the scan ends at the first block with a weak violation, which already
+holds both violations the full scan would report, and the crossing test
+then does not run.
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
 stay in cache.  A block's rows are reordered once into a buffer, each
@@ -119,7 +122,9 @@ class ClassificationReport:
 @dataclass
 class _RowScan:
     """Per-position scan results; s_off/e_off are the 1-based offsets of the
-    first/last row-maximum entry in the circular read (the farthest arc)."""
+    first/last row-maximum entry in the circular read (the farthest arc).
+    A scan stopped at a weak violation leaves the per-position arrays past
+    its last block at their initial values, and nothing reads them."""
 
     n: int
     weak_ok: np.ndarray
@@ -181,7 +186,12 @@ def _scan_block(
             setattr(scan, key, (int(order_arr[start + b]), pos))
 
 
-def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowScan:
+def _scan_rows(
+    values: np.ndarray, order_arr: np.ndarray, eps: float, *, stop_at_weak: bool = False
+) -> _RowScan:
+    """Scan every row, or with stop_at_weak only up to the first block with a
+    weak violation: a row that passes the strict rule passes the weak one, so
+    that block or an earlier one holds the first strict violation too."""
     n = order_arr.size
     scan = _RowScan(
         n,
@@ -209,6 +219,8 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
         doubled[:, n:] = reordered
         v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
         _scan_block(v, order_arr, eps, start, scan)
+        if stop_at_weak and scan.weak_violation is not None:
+            break
     return scan
 
 
@@ -322,11 +334,14 @@ def verify(
 ) -> ClassificationReport:
     """Classify the order against all four compatibility notions at once.
 
-    The quasi flags equal the quadruple definitions at every eps, the
-    circular flags at eps = 0 only: at eps > 0 the crossing rule on farthest
-    arcs can differ from pre-circular and circular by arcs.
+    At most one O(n^2) row scan plus O(n): the scan of an order that breaks
+    the weak rule ends at the first block of rows with a weak violation,
+    with the witnesses the full scan gives.  The quasi flags equal the quadruple definitions at
+    every eps, the circular flags at eps = 0 only: at eps > 0 the crossing
+    rule on farthest arcs can differ from pre-circular and circular by arcs.
     """
-    order_arr, scan = _scan(D, order, eps)
+    order_arr = _check_order(D, order)
+    scan = _scan_rows(D.values, order_arr, _check_eps(eps), stop_at_weak=True)
     found: dict[str, Any] = {}
     for strict, viol, quasi_key, circ_key in (
         (False, scan.weak_violation, "quasi", "circular"),

@@ -22,7 +22,7 @@ from circrob import (
     scr,
     sqcr,
 )
-from circrob.oracle import _position_tables
+from circrob.oracle import _classify_table, _position_tables
 from conftest import mixed_small_space, random_space
 
 
@@ -51,6 +51,19 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(ValueError):
             list(enumerate_circular_orders(11))
+
+    def test_classify_table_cache(self):
+        # oracle_classify's tables are cached read-only; enumeration past
+        # MAX_CLASSIFY_N builds its table afresh and keeps none alive
+        oracle_classify(circle_instance(8, "chord"))
+        table = _classify_table(8)
+        assert not table.flags.writeable
+        assert [tuple(row) for row in table.tolist()] == [
+            o.seq for o in enumerate_circular_orders(8)
+        ]
+        cached = _classify_table.cache_info().currsize
+        assert sum(1 for _ in enumerate_circular_orders(9)) == 20160
+        assert _classify_table.cache_info().currsize == cached
 
 
 class TestQuadrupleSweeps:

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from circrob import (
+    CircularOrder,
     DissimilarityMatrix,
     canonicalize,
+    circular_robinson_by_arcs,
     crossing_violation,
     enumerate_circular_orders,
     farthest_set,
@@ -220,6 +222,24 @@ class TestVerify:
         natural = verify(fixture4, canonicalize(range(4))).to_json_dict()
         assert list(natural["witness"]) == ["circular", "strict_circular"]
 
+    @pytest.mark.parametrize("seq", [(0, 0, 0, 0), (0, 1, 2, -1), (0, 1, 2, 5)])
+    def test_non_permutation_rejected(self, fixture4, seq):
+        # a CircularOrder built directly, past canonicalize: a repeated
+        # point, a negative index that would wrap, one past the matrix
+        order = CircularOrder(seq)
+        checks = (
+            verify,
+            is_unimodal,
+            is_strictly_unimodal,
+            lambda D, o: crossing_violation(D, o, strict=True),
+            pre_circular_by_quadruples,
+            quasi_circular_by_quadruples,
+            circular_robinson_by_arcs,
+        )
+        for check in checks:
+            with pytest.raises(ValueError, match="not a permutation"):
+                check(fixture4, order)
+
     @pytest.mark.parametrize("eps", [float("nan"), -0.5])
     def test_bad_eps_rejected(self, fixture4, eps):
         # at eps = nan every comparison would be False: the bad order
@@ -253,36 +273,123 @@ class TestVerify:
         )
 
 
+def _dent(rng, values):
+    # halve one distance between points a quarter turn apart, both in the
+    # second half of the labels: the rows of both points dip there, so their
+    # reads break the weak rule
+    n = len(values)
+    x = int(rng.integers(3 * n // 4, n))
+    y = x - n // 4
+    values[x, y] = values[y, x] = values[x, y] / 2
+    return values
+
+
+def _drawn_case(rng):
+    # n = 280..350: 3 or 4 default blocks, the first ending before n / 2
+    from circrob import circle_instance, perturb
+
+    n = int(rng.integers(280, 351))
+    kind = int(rng.integers(4))
+    if kind == 0:
+        values = _quantised_circle(rng, n)
+    elif kind == 1:
+        values = _ellipse(rng, n)
+    elif kind == 2:
+        values = random_space(n, rng).values.copy()
+    else:
+        noise = float(rng.choice([1e-4, 1e-3]))
+        base = circle_instance(n, "chord")
+        values = perturb(base, noise, seed=int(rng.integers(1 << 30))).values.copy()
+    seq = list(range(n))
+    if rng.random() < 0.7:
+        values = _dent(rng, values)
+    else:
+        for _ in range(int(rng.integers(1, 3))):
+            k = int(rng.integers(n - 1))
+            seq[k], seq[k + 1] = seq[k + 1], seq[k]
+    return DissimilarityMatrix(values), canonicalize(seq)
+
+
 def test_block_size_invariance(monkeypatch):
-    # One block covering every row gives the same scan and reports as the
-    # default blocks of _BLOCK_BYTES (21 rows at this n): the first violation
-    # in position order wins when several blocks have one, and every block
-    # writes its rows of the per-position arrays.
+    # verify's reports are the same under blocks of one row, the default
+    # blocks of _BLOCK_BYTES and one block covering every row (the full
+    # scan, with nothing left to skip), and so is the full scan on the fixed
+    # cases: the first violation in position order wins when several blocks
+    # have one, every block writes its rows of the per-position arrays, and
+    # verify's scan ends at the first block with a weak violation, which
+    # holds the first strict one too.
     from circrob import circle_instance, find_compatible_order, perturb
 
     D = perturb(circle_instance(1500, "chord"), 1e-5, seed=3)
     C = circle_instance(1500, "chord")
-    cases = [
-        (D, find_compatible_order(D)),
-        (D, canonicalize(list(range(2, 1500)) + [1, 0])),
-        (C, find_compatible_order(C)),
+    fixed = [
+        (D, find_compatible_order(D), 0.0),
+        (D, canonicalize(list(range(2, 1500)) + [1, 0]), 0.0),
+        (C, find_compatible_order(C), 0.0),
     ]
+    # drawn cases; some first break the weak rule in a default block that is
+    # neither the first nor the last, so verify's scan both reads several
+    # blocks and skips some
+    minimums = {"middle_weak": 12, "weak_ok": 4}
+    seen = dict.fromkeys(minimums, 0)
+    rng = np.random.default_rng(4242)
+    drawn = []
+    for _ in range(20):
+        M, o = _drawn_case(rng)
+        rows = verification._BLOCK_BYTES // (16 * M.n)
+        for eps in (0.0, 0.05, 0.31):
+            drawn.append((M, o, eps))
+            _, scan = verification._scan(M, o, eps)
+            if scan.weak_violation is None:
+                seen["weak_ok"] += 1
+            else:
+                block = o.seq.index(scan.weak_violation[0]) // rows
+                seen["middle_weak"] += 0 < block < (M.n - 1) // rows
+    assert all(seen[k] >= m for k, m in minimums.items()), seen
 
     def reports():
         out = []
-        for M, o in cases:
-            _, scan = verification._scan(M, o, 0.0)
-            fields = {
-                k: v.tolist() if isinstance(v, np.ndarray) else v
-                for k, v in vars(scan).items()
-            }
-            out.append((verify(M, o), fields))
+        for M, o, eps in fixed + drawn:
+            out.append(verify(M, o, eps).to_json_dict())
+        for M, o, eps in fixed:
+            _, scan = verification._scan(M, o, eps)
+            out.append(
+                {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(scan).items()}
+            )
         return out
 
-    assert verification._BLOCK_BYTES == 512 << 10
+    assert verification._BLOCK_BYTES == 512 << 10  # 21 rows at n = 1500
     blocked = reports()
-    monkeypatch.setattr(verification, "_BLOCK_BYTES", 16 * 1500 * 1500)
-    assert reports() == blocked
+    # 1 byte: blocks of one row at every n
+    for block_bytes in (1, 16 * 1500 * 1500):
+        with monkeypatch.context() as m:
+            m.setattr(verification, "_BLOCK_BYTES", block_bytes)
+            one_size = reports()
+        assert one_size == blocked
+
+
+def test_scan_stops_at_first_weak_block(monkeypatch):
+    from circrob import circle_instance, find_compatible_order, perturb
+
+    calls = []
+    scan_block = verification._scan_block
+
+    def spy(v, *args):
+        calls.append(v.shape[0])
+        scan_block(v, *args)
+
+    monkeypatch.setattr(verification, "_scan_block", spy)
+    n = 1500
+    rows = verification._BLOCK_BYTES // (16 * n)
+    # both rules break at position 0 of the perturbed circle's order
+    D = perturb(circle_instance(n, "chord"), 1e-3, seed=3)
+    rep = verify(D, find_compatible_order(D))
+    assert not rep.quasi and rep.witnesses["quasi"]["row"] == 0
+    assert calls == [rows]
+    calls.clear()
+    C = circle_instance(n, "chord")
+    assert verify(C, find_compatible_order(C)).strict_circular
+    assert len(calls) == -(-n // rows) and sum(calls) == n
 
 
 class TestDefinitionEquivalences:
