@@ -172,7 +172,10 @@ class CircularOrder:
 
 
 def _check_permutation(seq: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(seq, dtype=np.intp)
+    try:
+        arr = np.asarray(seq, dtype=np.intp)
+    except OverflowError:  # an index too large for a C long: rejected below
+        arr = np.empty(0, dtype=np.intp)
     n = arr.size
     if n == 0 or not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValueError(f"not a permutation of 0..n-1: {list(seq)!r}")

@@ -22,10 +22,10 @@ matrix is unimodal, so the witness search works on the arc extremities S and
 E alone.  On the unrolled cycle u in [0, 2n), a point crosses some partner
 iff the suffix minimum of the keys u + S[u mod n] (or u + E) passes it, or
 the prefix maximum of the other keys does: two running extrema, so the
-crossing test is O(n).  ``verify`` costs at most one O(n^2) row scan plus
-O(n): the scan ends at the first block with a weak violation, which already
-holds both violations the full scan would report, and the crossing test
-then does not run.
+crossing test is O(n).  Every reader of the scan costs at most one O(n^2)
+row scan plus O(n): the scan ends at the first block with a weak violation,
+which already holds both violations the full scan would report, and the
+crossing test then does not run.
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
 stay in cache.  A block's rows are reordered once into a buffer, each
@@ -65,14 +65,11 @@ class UnimodalityReport:
     read of ``violating_row`` (offset 0 is the entry just after the
     diagonal): the least entry among offsets a..b-1 breaks the (strict) qcr
     margin against the largest entry before a and the largest from b on.
-    ``max_run_lengths[p]`` counts the entries of row p within eps of the row
-    maximum.
     """
 
     ok: bool
     violating_row: Optional[int]
     violating_positions: Optional[tuple[int, int]]
-    max_run_lengths: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -121,15 +118,13 @@ class ClassificationReport:
 
 @dataclass
 class _RowScan:
-    """Per-position scan results; s_off/e_off are the 1-based offsets of the
-    first/last row-maximum entry in the circular read (the farthest arc).
-    A scan stopped at a weak violation leaves the per-position arrays past
-    its last block at their initial values, and nothing reads them."""
+    """The first weak and strict violations, and per position the 1-based
+    offsets s_off/e_off of the first/last row-maximum entry in the circular
+    read (the farthest arc).  The scan stops at the first block with a weak
+    violation, leaving s_off/e_off past it at their initial values; they
+    are read only when there is no weak violation, so the scan was whole."""
 
     n: int
-    weak_ok: np.ndarray
-    strict_ok: np.ndarray
-    max_count: np.ndarray
     s_off: np.ndarray
     e_off: np.ndarray
     weak_violation: Optional[tuple[int, tuple[int, int]]]
@@ -156,7 +151,6 @@ def _scan_block(
     sl = slice(start, start + v.shape[0])
     m = v.max(axis=1)
     plateau = v >= (m[:, None] - eps)
-    scan.max_count[sl] = plateau.sum(axis=1)
     scan.s_off[sl] = 1 + plateau.argmax(axis=1)
     scan.e_off[sl] = L - plateau[:, ::-1].argmax(axis=1)
     if L < 2:
@@ -175,29 +169,24 @@ def _scan_block(
         # exact at eps = 0: before the first fall the running maximum is the
         # previous entry, and the mirror holds for the last rise
         w_fall, w_rise = fall, rise
-    for ok_out, key, (first, last) in (
-        (scan.weak_ok, "weak_violation", _break(w_fall, w_rise)),
-        (scan.strict_ok, "strict_violation", _break(~rise, ~fall)),
+    for key, (first, last) in (
+        ("weak_violation", _break(w_fall, w_rise)),
+        ("strict_violation", _break(~rise, ~fall)),
     ):
-        ok = ok_out[sl] = first >= last
+        ok = first >= last
         if getattr(scan, key) is None and not ok.all():
             b = int(ok.argmin())
             pos = (int(first[b]) + 1, int(last[b]) + 1)
             setattr(scan, key, (int(order_arr[start + b]), pos))
 
 
-def _scan_rows(
-    values: np.ndarray, order_arr: np.ndarray, eps: float, *, stop_at_weak: bool = False
-) -> _RowScan:
-    """Scan every row, or with stop_at_weak only up to the first block with a
-    weak violation: a row that passes the strict rule passes the weak one, so
-    that block or an earlier one holds the first strict violation too."""
+def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowScan:
+    """Scan the rows up to the first block with a weak violation, or all of
+    them: a row that passes the strict rule passes the weak one, so that
+    block or an earlier one holds the first strict violation too."""
     n = order_arr.size
     scan = _RowScan(
         n,
-        weak_ok=np.ones(n, dtype=bool),
-        strict_ok=np.ones(n, dtype=bool),
-        max_count=np.zeros(n, dtype=np.intp),
         s_off=np.ones(n, dtype=np.intp),
         e_off=np.ones(n, dtype=np.intp),
         weak_violation=None,
@@ -219,7 +208,7 @@ def _scan_rows(
         doubled[:, n:] = reordered
         v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
         _scan_block(v, order_arr, eps, start, scan)
-        if stop_at_weak and scan.weak_violation is not None:
+        if scan.weak_violation is not None:
             break
     return scan
 
@@ -231,16 +220,13 @@ def _scan(
     return order_arr, _scan_rows(D.values, order_arr, _check_eps(eps))
 
 
-def _report_from_scan(order_arr: np.ndarray, scan: _RowScan, strict: bool) -> UnimodalityReport:
-    counts = np.zeros(scan.n, dtype=np.intp)
-    counts[order_arr] = scan.max_count
+def _report_from_scan(scan: _RowScan, strict: bool) -> UnimodalityReport:
     viol = scan.strict_violation if strict else scan.weak_violation
     ok = viol is None
     return UnimodalityReport(
         ok=ok,
         violating_row=None if ok else viol[0],
         violating_positions=None if ok else viol[1],
-        max_run_lengths=counts,
     )
 
 
@@ -250,8 +236,8 @@ def is_unimodal(D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0) 
 
     Equivalent to: the order is compatible for quasi-circular Robinson.
     """
-    order_arr, scan = _scan(D, order, eps)
-    return _report_from_scan(order_arr, scan, strict=False)
+    _, scan = _scan(D, order, eps)
+    return _report_from_scan(scan, strict=False)
 
 
 def is_strictly_unimodal(
@@ -264,8 +250,8 @@ def is_strictly_unimodal(
 
     Equivalent to: the order is compatible for strict quasi-circular Robinson.
     """
-    order_arr, scan = _scan(D, order, eps)
-    return _report_from_scan(order_arr, scan, strict=True)
+    _, scan = _scan(D, order, eps)
+    return _report_from_scan(scan, strict=True)
 
 
 def _crossing_from_scan(
@@ -322,8 +308,7 @@ def crossing_violation(
     circular Robinson, given that precondition.
     """
     order_arr, scan = _scan(D, order, eps)
-    ok = scan.strict_ok.all() if strict else scan.weak_ok.all()
-    if not ok:
+    if (scan.strict_violation if strict else scan.weak_violation) is not None:
         mode = "strictly unimodal" if strict else "unimodal"
         raise ValueError(f"crossing test requires a {mode} compatible order")
     return _crossing_from_scan(order_arr, scan, strict)
@@ -334,14 +319,14 @@ def verify(
 ) -> ClassificationReport:
     """Classify the order against all four compatibility notions at once.
 
-    At most one O(n^2) row scan plus O(n): the scan of an order that breaks
-    the weak rule ends at the first block of rows with a weak violation,
-    with the witnesses the full scan gives.  The quasi flags equal the quadruple definitions at
-    every eps, the circular flags at eps = 0 only: at eps > 0 the crossing
-    rule on farthest arcs can differ from pre-circular and circular by arcs.
+    At most one O(n^2) row scan plus O(n): like every reader of the scan,
+    it stops at the first block of rows with a weak violation, with the
+    witnesses the full scan gives.  The quasi flags equal the quadruple
+    definitions at every eps, the circular flags at eps = 0 only: at eps > 0
+    the crossing rule on farthest arcs can differ from pre-circular and
+    circular by arcs.
     """
-    order_arr = _check_order(D, order)
-    scan = _scan_rows(D.values, order_arr, _check_eps(eps), stop_at_weak=True)
+    order_arr, scan = _scan(D, order, eps)
     found: dict[str, Any] = {}
     for strict, viol, quasi_key, circ_key in (
         (False, scan.weak_violation, "quasi", "circular"),

@@ -252,6 +252,12 @@ class TestVerify:
     def test_not_a_permutation(self, fixture_file):
         assert main(["verify", "--input", fixture_file, "--order", "0,1,2,2"]) == 2
 
+    def test_index_beyond_c_long(self, fixture_file, capsys):
+        order = "0,1,2,99999999999999999999"
+        assert main(["verify", "--input", fixture_file, "--order", order]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: not a permutation") and "Traceback" not in err
+
     def test_wrong_length(self, fixture_file):
         assert main(["verify", "--input", fixture_file, "--order", "0,1,2"]) == 2
 

@@ -373,6 +373,9 @@ class TestCanonicalize:
     def test_not_a_permutation(self):
         with pytest.raises(ValueError, match="permutation"):
             canonicalize((0, 0, 1))
+        # an index too large for a C long is no index either
+        with pytest.raises(ValueError, match="permutation"):
+            canonicalize((0, 2**70))
 
     def test_tiny(self):
         assert canonicalize((0,)).seq == (0,)

@@ -52,12 +52,12 @@ class TestIsStrictlyUnimodal:
     def test_fixture_natural_ok(self, fixture4):
         rep = is_strictly_unimodal(fixture4, canonicalize(range(4)))
         assert rep.ok
-        assert list(rep.max_run_lengths) == [1, 1, 1, 1]
+        assert [len(farthest_set(fixture4, x)[1]) for x in range(4)] == [1, 1, 1, 1]
 
     def test_circle_plateaus_of_two(self, circle5):
         rep = is_strictly_unimodal(circle5, canonicalize(range(5)))
         assert rep.ok
-        assert list(rep.max_run_lengths) == [2, 2, 2, 2, 2]
+        assert [len(farthest_set(circle5, x)[1]) for x in range(5)] == [2, 2, 2, 2, 2]
 
     def test_equilateral_rejected_any_order(self, equilateral4):
         for order in enumerate_circular_orders(4):
@@ -310,14 +310,23 @@ def _drawn_case(rng):
     return DissimilarityMatrix(values), canonicalize(seq)
 
 
+def _scan_fields(scan):
+    """What the readers of a scan read: both violations, and the arc ends
+    when there is no weak violation (the scan then covered every row)."""
+    out = {"weak_violation": scan.weak_violation, "strict_violation": scan.strict_violation}
+    if scan.weak_violation is None:
+        out.update(s_off=scan.s_off.tolist(), e_off=scan.e_off.tolist())
+    return out
+
+
 def test_block_size_invariance(monkeypatch):
-    # verify's reports are the same under blocks of one row, the default
-    # blocks of _BLOCK_BYTES and one block covering every row (the full
-    # scan, with nothing left to skip), and so is the full scan on the fixed
-    # cases: the first violation in position order wins when several blocks
-    # have one, every block writes its rows of the per-position arrays, and
-    # verify's scan ends at the first block with a weak violation, which
-    # holds the first strict one too.
+    # the outputs of all four readers of the scan are the same under blocks
+    # of one row, the default blocks of _BLOCK_BYTES and one block covering
+    # every row (the full scan, with nothing left to skip), and so is the
+    # scan itself on the fixed cases: the first violation in position order
+    # wins when several blocks have one, every block writes its rows of the
+    # arc ends, and the scan ends at the first block with a weak violation,
+    # which holds the first strict one too.
     from circrob import circle_instance, find_compatible_order, perturb
 
     D = perturb(circle_instance(1500, "chord"), 1e-5, seed=3)
@@ -347,15 +356,20 @@ def test_block_size_invariance(monkeypatch):
                 seen["middle_weak"] += 0 < block < (M.n - 1) // rows
     assert all(seen[k] >= m for k, m in minimums.items()), seen
 
+    def crossing(M, o, strict, eps):
+        try:
+            return crossing_violation(M, o, strict, eps)
+        except ValueError as exc:
+            return str(exc)
+
     def reports():
         out = []
         for M, o, eps in fixed + drawn:
             out.append(verify(M, o, eps).to_json_dict())
+            out += [is_unimodal(M, o, eps), is_strictly_unimodal(M, o, eps)]
+            out += [crossing(M, o, strict, eps) for strict in (False, True)]
         for M, o, eps in fixed:
-            _, scan = verification._scan(M, o, eps)
-            out.append(
-                {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(scan).items()}
-            )
+            out.append(_scan_fields(verification._scan(M, o, eps)[1]))
         return out
 
     assert verification._BLOCK_BYTES == 512 << 10  # 21 rows at n = 1500
@@ -381,15 +395,35 @@ def test_scan_stops_at_first_weak_block(monkeypatch):
     monkeypatch.setattr(verification, "_scan_block", spy)
     n = 1500
     rows = verification._BLOCK_BYTES // (16 * n)
-    # both rules break at position 0 of the perturbed circle's order
+    # both rules break at position 0 of the perturbed circle's order: every
+    # reader reads one block, and the crossing test refuses the order
     D = perturb(circle_instance(n, "chord"), 1e-3, seed=3)
-    rep = verify(D, find_compatible_order(D))
+    order = find_compatible_order(D)
+    rep = verify(D, order)
     assert not rep.quasi and rep.witnesses["quasi"]["row"] == 0
     assert calls == [rows]
-    calls.clear()
+    for reader in (is_unimodal, is_strictly_unimodal):
+        calls.clear()
+        assert reader(D, order).violating_row == 0
+        assert calls == [rows]
+    for strict in (False, True):
+        calls.clear()
+        with pytest.raises(ValueError, match="crossing test requires"):
+            crossing_violation(D, order, strict)
+        assert calls == [rows]
+    # a clean circle: every reader reads every block
     C = circle_instance(n, "chord")
-    assert verify(C, find_compatible_order(C)).strict_circular
-    assert len(calls) == -(-n // rows) and sum(calls) == n
+    order = find_compatible_order(C)
+    for read in (
+        lambda: verify(C, order).strict_circular,
+        lambda: is_unimodal(C, order).ok,
+        lambda: is_strictly_unimodal(C, order).ok,
+        lambda: crossing_violation(C, order, False) is None,
+        lambda: crossing_violation(C, order, True) is None,
+    ):
+        calls.clear()
+        assert read()
+        assert len(calls) == -(-n // rows) and sum(calls) == n
 
 
 class TestDefinitionEquivalences:
@@ -605,9 +639,10 @@ def _read_margins(values, seq, p, i, j, k):
 
 
 def _reference_scan(values, seq, eps):
-    """The _RowScan fields rebuilt row by row: both flags from the qcr/sqcr
-    margin on every triple i < j < k of each circular read, the witness from
-    the documented step rule, (first + 1, last + 1), entry by entry."""
+    """A full row scan rebuilt row by row: per row, both flags from the
+    qcr/sqcr margin on every triple i < j < k of its circular read, the size
+    and ends of its plateau at the maximum; the first witness of each kind
+    from the documented step rule, (first + 1, last + 1), entry by entry."""
     n = len(seq)
     out = {k: [] for k in ("weak_ok", "strict_ok", "max_count", "s_off", "e_off")}
     out["weak_violation"] = out["strict_violation"] = None
@@ -676,13 +711,10 @@ class TestRowScan:
             expect = _reference_scan(D.values, order.seq, eps)
             for rows in (1, 3, n):
                 monkeypatch.setattr(verification, "_BLOCK_BYTES", rows * 16 * n)
-                _, scan = verification._scan(D, order, eps)
-                got = {
-                    k: v.tolist() if isinstance(v, np.ndarray) else v
-                    for k, v in vars(scan).items()
-                    if k != "n"
-                }
-                assert got == expect, (values.tolist(), seq, eps, rows)
+                # both violations always; the arc ends when no row breaks
+                # the weak rule, the only scans the crossing test reads
+                got = _scan_fields(verification._scan(D, order, eps)[1])
+                assert got == {k: expect[k] for k in got}, (values.tolist(), seq, eps, rows)
             # the witness certifies the failure: the least entry among a..b-1
             # breaks the margin against the largest before a and from b on
             for strict in (False, True):
@@ -844,9 +876,7 @@ def _random_arcs(rng, n):
 
 def _arc_scan(S, E):
     # the crossing test reads only the arc ends of a scan
-    return verification._RowScan(
-        S.size, None, None, None, s_off=S, e_off=E, weak_violation=None, strict_violation=None
-    )
+    return verification._RowScan(S.size, S, E, weak_violation=None, strict_violation=None)
 
 
 class TestRangeMinSweep:

@@ -4,11 +4,13 @@
 
 For each n in SIZES, an evenly spaced chord circle of n points is built with
 identity labels and with shuffled ones, and its compatible order is read
-in-process by both trees: `verification._scan_rows` (the O(n^2) row scan) and `verify`
-(scan plus crossing tests).  Rounds alternate which tree runs first; each
-figure is the best of REPEATS rounds.  A banded ``values.max()`` over the
-same matrix is the one-pass reference, so scan/pass says how far the scan is
-from reading the matrix once.  Both trees must give the same scan fields and
+in-process by both trees: `verification._scan_rows` (the row scan, at most
+one O(n^2) pass: it stops at the first block that breaks the weak rule) and
+`verify` (scan plus crossing tests).  Rounds alternate which tree runs
+first; each figure is the best of REPEATS rounds.  A banded ``values.max()``
+over the same matrix is the one-pass reference, so scan/pass says how far
+the scan is from reading the matrix once.  Both trees must give the same
+scan fields (the arc ends and both violations, which every tree holds) and
 the same `verify` report, as JSON text (key order included), or the script
 stops.
 """
@@ -70,7 +72,12 @@ def _timed(fn, runs: list):
 
 
 def _fields(scan) -> dict:
-    return {k: v.tolist() if isinstance(v, np.ndarray) else v for k, v in vars(scan).items()}
+    return {
+        "s_off": scan.s_off.tolist(),
+        "e_off": scan.e_off.tolist(),
+        "weak_violation": scan.weak_violation,
+        "strict_violation": scan.strict_violation,
+    }
 
 
 def _cpu_model() -> str:
