@@ -148,13 +148,10 @@ def _cmd_verify(args) -> int:
         return 2
     try:
         order = canonicalize([int(t) for t in args.order.replace(",", " ").split()])
+        report = verify(D, order, eps=args.epsilon)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if len(order) != D.n:
-        print(f"error: order has {len(order)} indices, matrix has {D.n}", file=sys.stderr)
-        return 2
-    report = verify(D, order, eps=args.epsilon)
     payload = report.to_json_dict()
     payload["order"] = list(order.seq)
     _print(

@@ -172,14 +172,13 @@ class CircularOrder:
 
 
 def _check_permutation(seq: Sequence[int]) -> np.ndarray:
-    try:
-        arr = np.asarray(seq, dtype=np.intp)
-    except OverflowError:  # an index too large for a C long: rejected below
-        arr = np.empty(0, dtype=np.intp)
+    # entries that are not integers (floats, bools, or ints too large for
+    # any integer dtype, which give an object array) are no indices
+    arr = np.asarray(seq)
     n = arr.size
-    if n == 0 or not np.array_equal(np.sort(arr), np.arange(n)):
+    if arr.dtype.kind not in "iu" or n == 0 or not np.array_equal(np.sort(arr), np.arange(n)):
         raise ValueError(f"not a permutation of 0..n-1: {list(seq)!r}")
-    return arr
+    return arr.astype(np.intp, copy=False)
 
 
 def canonicalize(seq: Sequence[int]) -> CircularOrder:

@@ -160,11 +160,14 @@ def is_linear_robinson(
     """Whether the sequence is a compatible linear order of its points:
     d(x,z) >= max(d(x,y), d(y,z)) for every triple x < y < z along it
     (strict: >).  O(m^3)."""
-    seq = np.asarray(linear_seq, dtype=np.intp)
+    seq = np.asarray(linear_seq)
+    if seq.size and seq.dtype.kind not in "iu":
+        raise ValueError(f"not a sequence of indices: {list(linear_seq)!r}")
     _check_indices(seq.tolist(), D.n)
     if np.unique(seq).size != seq.size:
         raise ValueError("sequence has repeated indices")
-    margin = _lr_margin(D.values, *seq[_subsets(seq.size, 3).T])
+    # an empty sequence reads as a float array, which cannot index
+    margin = _lr_margin(D.values, *seq.astype(np.intp)[_subsets(seq.size, 3).T])
     return bool(_holds(margin, strict, _check_eps(eps)).all())
 
 

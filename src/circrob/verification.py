@@ -22,10 +22,13 @@ matrix is unimodal, so the witness search works on the arc extremities S and
 E alone.  On the unrolled cycle u in [0, 2n), a point crosses some partner
 iff the suffix minimum of the keys u + S[u mod n] (or u + E) passes it, or
 the prefix maximum of the other keys does: two running extrema, so the
-crossing test is O(n).  Every reader of the scan costs at most one O(n^2)
-row scan plus O(n): the scan ends at the first block with a weak violation,
-which already holds both violations the full scan would report, and the
-crossing test then does not run.
+crossing test is O(n).
+
+verify runs the row scan; is_unimodal, is_strictly_unimodal and
+crossing_violation read their answers off its report.  Each costs at most
+one O(n^2) row scan plus O(n): the scan ends at the first block with a weak
+violation, which already holds both violations the full scan would report,
+and the crossing test then does not run.
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
 stay in cache.  A block's rows are reordered once into a buffer, each
@@ -37,7 +40,7 @@ no index array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
@@ -116,19 +119,22 @@ class ClassificationReport:
         }
 
 
-@dataclass
-class _RowScan:
-    """The first weak and strict violations, and per position the 1-based
-    offsets s_off/e_off of the first/last row-maximum entry in the circular
-    read (the farthest arc).  The scan stops at the first block with a weak
+# (point or row, (a, b)): a row's witness, as UnimodalityReport describes it
+_Violation = Optional[tuple[int, tuple[int, int]]]
+
+
+class _RowScan(NamedTuple):
+    """What verify's row scan found: per position the 1-based offsets
+    s_off/e_off of the first/last row-maximum entry in the circular read
+    (the farthest arc), and the first weak and strict violations as
+    (point, (a, b)).  The scan stops at the first block with a weak
     violation, leaving s_off/e_off past it at their initial values; they
     are read only when there is no weak violation, so the scan was whole."""
 
-    n: int
     s_off: np.ndarray
     e_off: np.ndarray
-    weak_violation: Optional[tuple[int, tuple[int, int]]]
-    strict_violation: Optional[tuple[int, tuple[int, int]]]
+    weak_violation: _Violation
+    strict_violation: _Violation
 
 
 def _break(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -142,19 +148,18 @@ def _break(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _scan_block(
-    v: np.ndarray, order_arr: np.ndarray, eps: float, start: int, scan: _RowScan
-) -> None:
-    """Scan the circular reads v (B, n-1) of the rows at positions start,
-    start+1, ... into `scan`.  Blocks must come in position order: a
-    violation is recorded only if none was found before."""
+    v: np.ndarray, eps: float, S: np.ndarray, E: np.ndarray
+) -> tuple[_Violation, _Violation]:
+    """Scan the circular reads v (B, n-1) of a block of rows: write each
+    row's arc ends into S and E, and return the block's first weak and
+    first strict violation, each as (row within the block, (a, b)) or None."""
     L = v.shape[1]
-    sl = slice(start, start + v.shape[0])
     m = v.max(axis=1)
     plateau = v >= (m[:, None] - eps)
-    scan.s_off[sl] = 1 + plateau.argmax(axis=1)
-    scan.e_off[sl] = L - plateau[:, ::-1].argmax(axis=1)
+    S[:] = 1 + plateau.argmax(axis=1)
+    E[:] = L - plateau[:, ::-1].argmax(axis=1)
     if L < 2:
-        return
+        return None, None
 
     # step s joins entries s and s+1
     step = v[:, 1:] - v[:, :-1]
@@ -169,31 +174,24 @@ def _scan_block(
         # exact at eps = 0: before the first fall the running maximum is the
         # previous entry, and the mirror holds for the last rise
         w_fall, w_rise = fall, rise
-    for key, (first, last) in (
-        ("weak_violation", _break(w_fall, w_rise)),
-        ("strict_violation", _break(~rise, ~fall)),
-    ):
+    found = []
+    for first, last in (_break(w_fall, w_rise), _break(~rise, ~fall)):
         ok = first >= last
-        if getattr(scan, key) is None and not ok.all():
-            b = int(ok.argmin())
-            pos = (int(first[b]) + 1, int(last[b]) + 1)
-            setattr(scan, key, (int(order_arr[start + b]), pos))
+        b = int(ok.argmin())
+        found.append(None if ok[b] else (b, (int(first[b]) + 1, int(last[b]) + 1)))
+    return found[0], found[1]
 
 
 def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowScan:
-    """Scan the rows up to the first block with a weak violation, or all of
-    them: a row that passes the strict rule passes the weak one, so that
-    block or an earlier one holds the first strict violation too."""
+    """verify's row scan: the rows up to the first block with a weak
+    violation, or all of them.  A row that passes the strict rule passes the
+    weak one, so that block or an earlier one holds the first strict
+    violation too."""
     n = order_arr.size
-    scan = _RowScan(
-        n,
-        s_off=np.ones(n, dtype=np.intp),
-        e_off=np.ones(n, dtype=np.intp),
-        weak_violation=None,
-        strict_violation=None,
-    )
+    S, E = np.ones(n, dtype=np.intp), np.ones(n, dtype=np.intp)
+    weak = strict = None
     if n < 2:
-        return scan
+        return _RowScan(S, E, weak, strict)
     # A block's rows, reordered and written out twice, fill a (B, 2n) prefix
     # of the buffer.  Row b's circular read starts at flat index
     # b*2n + start + b + 1, so with a row stride of 2n + 1 the reads of the
@@ -202,31 +200,28 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
     buf = np.empty(B * (2 * n + 1) + n)
     for start in range(0, n, B):
         k = min(B, n - start)
-        reordered = values[order_arr[start : start + k]].take(order_arr, axis=1)
+        rows = order_arr[start : start + k]
+        reordered = values[rows].take(order_arr, axis=1)
         doubled = buf[: k * 2 * n].reshape(k, 2 * n)
         doubled[:, :n] = reordered
         doubled[:, n:] = reordered
         v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
-        _scan_block(v, order_arr, eps, start, scan)
-        if scan.weak_violation is not None:
+        w, s = _scan_block(v, eps, S[start : start + k], E[start : start + k])
+        if strict is None and s is not None:
+            strict = (int(rows[s[0]]), s[1])
+        if w is not None:
+            weak = (int(rows[w[0]]), w[1])
             break
-    return scan
+    return _RowScan(S, E, weak, strict)
 
 
-def _scan(
-    D: DissimilarityMatrix, order: CircularOrder, eps: float
-) -> tuple[np.ndarray, _RowScan]:
-    order_arr = _check_order(D, order)
-    return order_arr, _scan_rows(D.values, order_arr, _check_eps(eps))
-
-
-def _report_from_scan(scan: _RowScan, strict: bool) -> UnimodalityReport:
-    viol = scan.strict_violation if strict else scan.weak_violation
-    ok = viol is None
+def _unimodality(report: ClassificationReport, key: str) -> UnimodalityReport:
+    """The unimodality report of the "quasi" or "strict_quasi" witness."""
+    w = report.witnesses.get(key)
+    if w is None:
+        return UnimodalityReport(ok=True, violating_row=None, violating_positions=None)
     return UnimodalityReport(
-        ok=ok,
-        violating_row=None if ok else viol[0],
-        violating_positions=None if ok else viol[1],
+        ok=False, violating_row=w["row"], violating_positions=tuple(w["positions"])
     )
 
 
@@ -235,9 +230,9 @@ def is_unimodal(D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0) 
     lies more than eps below both an earlier and a later entry.
 
     Equivalent to: the order is compatible for quasi-circular Robinson.
+    Read off verify's report.
     """
-    _, scan = _scan(D, order, eps)
-    return _report_from_scan(scan, strict=False)
+    return _unimodality(verify(D, order, eps), "quasi")
 
 
 def is_strictly_unimodal(
@@ -249,15 +244,15 @@ def is_strictly_unimodal(
     more than eps per step.
 
     Equivalent to: the order is compatible for strict quasi-circular Robinson.
+    Read off verify's report.
     """
-    _, scan = _scan(D, order, eps)
-    return _report_from_scan(scan, strict=True)
+    return _unimodality(verify(D, order, eps), "strict_quasi")
 
 
 def _crossing_from_scan(
     order_arr: np.ndarray, scan: _RowScan, strict: bool
 ) -> Optional[CrossingWitness]:
-    n = scan.n
+    n = order_arr.size
     if n < 4:
         return None
     # Offsets relative to each point: the farthest arc of the point at
@@ -305,13 +300,13 @@ def crossing_violation(
 
     Requires the order to be (strictly) unimodal-compatible, so that farthest
     sets are arcs.  Returns None iff the order is compatible for (strict)
-    circular Robinson, given that precondition.
+    circular Robinson, given that precondition.  Read off verify's report.
     """
-    order_arr, scan = _scan(D, order, eps)
-    if (scan.strict_violation if strict else scan.weak_violation) is not None:
+    report = verify(D, order, eps)
+    if not (report.strict_quasi if strict else report.quasi):
         mode = "strictly unimodal" if strict else "unimodal"
         raise ValueError(f"crossing test requires a {mode} compatible order")
-    return _crossing_from_scan(order_arr, scan, strict)
+    return report.witnesses.get("strict_circular" if strict else "circular")
 
 
 def verify(
@@ -319,14 +314,15 @@ def verify(
 ) -> ClassificationReport:
     """Classify the order against all four compatibility notions at once.
 
-    At most one O(n^2) row scan plus O(n): like every reader of the scan,
-    it stops at the first block of rows with a weak violation, with the
-    witnesses the full scan gives.  The quasi flags equal the quadruple
+    At most one O(n^2) row scan plus O(n): the scan, the only one in this
+    module, stops at the first block of rows with a weak violation, with
+    the witnesses the full scan gives.  The quasi flags equal the quadruple
     definitions at every eps, the circular flags at eps = 0 only: at eps > 0
     the crossing rule on farthest arcs can differ from pre-circular and
     circular by arcs.
     """
-    order_arr, scan = _scan(D, order, eps)
+    order_arr = _check_order(D, order)
+    scan = _scan_rows(D.values, order_arr, _check_eps(eps))
     found: dict[str, Any] = {}
     for strict, viol, quasi_key, circ_key in (
         (False, scan.weak_violation, "quasi", "circular"),

@@ -258,8 +258,9 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error: not a permutation") and "Traceback" not in err
 
-    def test_wrong_length(self, fixture_file):
+    def test_wrong_length(self, fixture_file, capsys):
         assert main(["verify", "--input", fixture_file, "--order", "0,1,2"]) == 2
+        assert capsys.readouterr().err == "error: order has 3 points, matrix has 4\n"
 
 
 class TestOracle:

@@ -376,6 +376,11 @@ class TestCanonicalize:
         # an index too large for a C long is no index either
         with pytest.raises(ValueError, match="permutation"):
             canonicalize((0, 2**70))
+        # nor is a non-integral one, even where truncating it would give
+        # one, nor a float or bool, even with an integral value
+        for seq in ([0, 1.5, 2.9], [0.0, 1.0, 2.0], [True, False]):
+            with pytest.raises(ValueError, match="permutation"):
+                canonicalize(seq)
 
     def test_tiny(self):
         assert canonicalize((0,)).seq == (0,)

@@ -22,6 +22,7 @@ from circrob import (
     verify,
 )
 from circrob import verification
+from circrob.core import _check_order
 from circrob.oracle import _position_tables
 from circrob.predicates import _holds, _qcr_margin
 from conftest import random_space
@@ -149,6 +150,12 @@ class TestIsLinearRobinson:
         with pytest.raises(ValueError, match="repeated"):
             is_linear_robinson(LINE_D, (0, 1, 1))
 
+    @pytest.mark.parametrize("seq", [(0, 1.5, 2.9), (0, 2**70)])
+    def test_non_integral_rejected(self, seq):
+        # (0, 1.5, 2.9) would truncate to the compatible (0, 1, 2)
+        with pytest.raises(ValueError, match="not a sequence of indices"):
+            is_linear_robinson(LINE_D, seq)
+
     def test_matches_triple_bruteforce(self):
         # eps applies to each compared pair.  The fixed case passes a rule
         # that applies it to neighbouring row entries only, but along
@@ -222,10 +229,22 @@ class TestVerify:
         natural = verify(fixture4, canonicalize(range(4))).to_json_dict()
         assert list(natural["witness"]) == ["circular", "strict_circular"]
 
-    @pytest.mark.parametrize("seq", [(0, 0, 0, 0), (0, 1, 2, -1), (0, 1, 2, 5)])
+    @pytest.mark.parametrize(
+        "seq",
+        [
+            (0, 0, 0, 0),
+            (0, 1, 2, -1),
+            (0, 1, 2, 5),
+            (0, 1.5, 2, 3),
+            (0, 1, 2, 2**70),
+            (0.0, 1.0, 2.0, 3.0),
+        ],
+    )
     def test_non_permutation_rejected(self, fixture4, seq):
         # a CircularOrder built directly, past canonicalize: a repeated
-        # point, a negative index that would wrap, one past the matrix
+        # point, a negative index that would wrap, one past the matrix, a
+        # non-integral one that would truncate to a point, one too large for
+        # any integer dtype, floats with integral values
         order = CircularOrder(seq)
         checks = (
             verify,
@@ -311,8 +330,8 @@ def _drawn_case(rng):
 
 
 def _scan_fields(scan):
-    """What the readers of a scan read: both violations, and the arc ends
-    when there is no weak violation (the scan then covered every row)."""
+    """What verify reads of a scan: both violations, and the arc ends when
+    there is no weak violation (the scan then covered every row)."""
     out = {"weak_violation": scan.weak_violation, "strict_violation": scan.strict_violation}
     if scan.weak_violation is None:
         out.update(s_off=scan.s_off.tolist(), e_off=scan.e_off.tolist())
@@ -320,9 +339,10 @@ def _scan_fields(scan):
 
 
 def test_block_size_invariance(monkeypatch):
-    # the outputs of all four readers of the scan are the same under blocks
-    # of one row, the default blocks of _BLOCK_BYTES and one block covering
-    # every row (the full scan, with nothing left to skip), and so is the
+    # the outputs of verify and the three readers of its report are the same
+    # under blocks of one row, the default blocks of _BLOCK_BYTES and one
+    # block covering every row (the full scan, with nothing left to skip),
+    # and so is the
     # scan itself on the fixed cases: the first violation in position order
     # wins when several blocks have one, every block writes its rows of the
     # arc ends, and the scan ends at the first block with a weak violation,
@@ -348,7 +368,7 @@ def test_block_size_invariance(monkeypatch):
         rows = verification._BLOCK_BYTES // (16 * M.n)
         for eps in (0.0, 0.05, 0.31):
             drawn.append((M, o, eps))
-            _, scan = verification._scan(M, o, eps)
+            scan = verification._scan_rows(M.values, _check_order(M, o), eps)
             if scan.weak_violation is None:
                 seen["weak_ok"] += 1
             else:
@@ -369,7 +389,7 @@ def test_block_size_invariance(monkeypatch):
             out += [is_unimodal(M, o, eps), is_strictly_unimodal(M, o, eps)]
             out += [crossing(M, o, strict, eps) for strict in (False, True)]
         for M, o, eps in fixed:
-            out.append(_scan_fields(verification._scan(M, o, eps)[1]))
+            out.append(_scan_fields(verification._scan_rows(M.values, _check_order(M, o), eps)))
         return out
 
     assert verification._BLOCK_BYTES == 512 << 10  # 21 rows at n = 1500
@@ -390,7 +410,7 @@ def test_scan_stops_at_first_weak_block(monkeypatch):
 
     def spy(v, *args):
         calls.append(v.shape[0])
-        scan_block(v, *args)
+        return scan_block(v, *args)
 
     monkeypatch.setattr(verification, "_scan_block", spy)
     n = 1500
@@ -713,7 +733,7 @@ class TestRowScan:
                 monkeypatch.setattr(verification, "_BLOCK_BYTES", rows * 16 * n)
                 # both violations always; the arc ends when no row breaks
                 # the weak rule, the only scans the crossing test reads
-                got = _scan_fields(verification._scan(D, order, eps)[1])
+                got = _scan_fields(verification._scan_rows(D.values, _check_order(D, order), eps))
                 assert got == {k: expect[k] for k in got}, (values.tolist(), seq, eps, rows)
             # the witness certifies the failure: the least entry among a..b-1
             # breaks the margin against the largest before a and from b on
@@ -876,7 +896,7 @@ def _random_arcs(rng, n):
 
 def _arc_scan(S, E):
     # the crossing test reads only the arc ends of a scan
-    return verification._RowScan(S.size, S, E, weak_violation=None, strict_violation=None)
+    return verification._RowScan(S, E, None, None)
 
 
 class TestRangeMinSweep:
