@@ -45,6 +45,7 @@ from .recognition import (
 from .verification import (
     ClassificationReport,
     CrossingWitness,
+    RowWitness,
     UnimodalityReport,
     crossing_violation,
     is_strictly_unimodal,
@@ -65,6 +66,7 @@ __all__ = [
     "OracleClassification",
     "OrderSet",
     "Quadruple",
+    "RowWitness",
     "TieWarning",
     "UnimodalityReport",
     "bipartition_criterion",

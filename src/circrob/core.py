@@ -196,11 +196,15 @@ def canonicalize(seq: Sequence[int]) -> CircularOrder:
     return CircularOrder(tuple(int(v) for v in fwd))
 
 
-def _check_indices(points: Iterable[int], n: int) -> None:
-    """ValueError unless every point is an index in range(n)."""
-    for p in points:
-        if not 0 <= p < n:
-            raise ValueError(f"index out of range: {p}")
+def _check_indices(points: Sequence[int], n: int) -> None:
+    """ValueError unless every point is an index in range(n): an entry of
+    integer kind, by the rule of _check_permutation."""
+    arr = np.asarray(points)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"not a sequence of indices: {list(points)!r}")
+    out = (arr < 0) | (arr >= n)
+    if out.any():
+        raise ValueError(f"index out of range: {arr.flat[out.argmax()]}")
 
 
 def _check_order(D: DissimilarityMatrix, order: CircularOrder) -> np.ndarray:

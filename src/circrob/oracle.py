@@ -160,10 +160,8 @@ def is_linear_robinson(
     """Whether the sequence is a compatible linear order of its points:
     d(x,z) >= max(d(x,y), d(y,z)) for every triple x < y < z along it
     (strict: >).  O(m^3)."""
+    _check_indices(linear_seq, D.n)
     seq = np.asarray(linear_seq)
-    if seq.size and seq.dtype.kind not in "iu":
-        raise ValueError(f"not a sequence of indices: {list(linear_seq)!r}")
-    _check_indices(seq.tolist(), D.n)
     if np.unique(seq).size != seq.size:
         raise ValueError("sequence has repeated indices")
     # an empty sequence reads as a float array, which cannot index

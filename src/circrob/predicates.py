@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DissimilarityMatrix
+from .core import DissimilarityMatrix, _check_indices
 
 __all__ = ["Quadruple", "cr", "scr", "qcr", "sqcr"]
 
@@ -55,8 +55,11 @@ def _qcr_margin(v: np.ndarray, x, y, z, t):
     return v[x, z] - np.minimum(v[y, z], v[t, z])
 
 
-def _points(q: Quadruple, strict: bool) -> Quadruple:
+def _points(q: Quadruple, n: int, strict: bool) -> Quadruple:
+    """The quadruple; ValueError unless its points are indices in range(n),
+    pairwise distinct when strict."""
     q = Quadruple(*q)
+    _check_indices(q, n)
     if strict and len(set(q)) != 4:
         raise ValueError(f"strict condition needs pairwise-distinct points, got {tuple(q)}")
     return q
@@ -64,19 +67,19 @@ def _points(q: Quadruple, strict: bool) -> Quadruple:
 
 def cr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(max(d(x,y), d(y,z)), max(d(x,t), d(t,z)))."""
-    return bool(_holds(_cr_margin(D.values, *_points(q, False)), False, eps))
+    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, False)), False, eps))
 
 
 def scr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`cr`; requires pairwise-distinct points."""
-    return bool(_holds(_cr_margin(D.values, *_points(q, True)), True, eps))
+    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, True)), True, eps))
 
 
 def qcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(d(y,z), d(t,z))."""
-    return bool(_holds(_qcr_margin(D.values, *_points(q, False)), False, eps))
+    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, False)), False, eps))
 
 
 def sqcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`qcr`; requires pairwise-distinct points."""
-    return bool(_holds(_qcr_margin(D.values, *_points(q, True)), True, eps))
+    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, True)), True, eps))

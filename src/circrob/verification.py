@@ -10,8 +10,7 @@ entry) before a rise (entry s more than eps below a later one).  Strict: a
 step that does not rise by more than eps before one that does not fall by
 more than eps; the entries up to j each exceed all earlier ones by more than
 eps iff every step up to j rises by more than eps.  A failing row's witness
-(a, b) is (its first such step + 1, its last + 1): the least entry among
-a..b-1 breaks the margin against the largest entry before a and from b on.
+is a :class:`RowWitness`, whose docstring says what it certifies.
 
 Circular compatibility additionally forbids, for unimodal-compatible orders,
 any pair x, y with farthest neighbors x', y' arranged as x < x' < y < y' or
@@ -40,7 +39,8 @@ no index array.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, NamedTuple, Optional
+from types import MappingProxyType
+from typing import Any, Mapping, NamedTuple, Optional
 
 import numpy as np
 
@@ -48,6 +48,7 @@ from .core import CircularOrder, DissimilarityMatrix, _check_eps, _check_order
 
 __all__ = [
     "UnimodalityReport",
+    "RowWitness",
     "CrossingWitness",
     "ClassificationReport",
     "is_unimodal",
@@ -62,17 +63,30 @@ _BLOCK_BYTES = 512 << 10
 
 @dataclass(frozen=True)
 class UnimodalityReport:
-    """Outcome of the circular row scan.
-
-    ``violating_positions`` (a, b) are 0-based offsets into the circular
-    read of ``violating_row`` (offset 0 is the entry just after the
-    diagonal): the least entry among offsets a..b-1 breaks the (strict) qcr
-    margin against the largest entry before a and the largest from b on.
-    """
+    """Outcome of the circular row scan: on failure, ``violating_row`` and
+    ``violating_positions`` are the ``row`` and ``positions`` of the
+    :class:`RowWitness`."""
 
     ok: bool
     violating_row: Optional[int]
     violating_positions: Optional[tuple[int, int]]
+
+
+class RowWitness(NamedTuple):
+    """A row whose circular read breaks the (strict) quasi rule.
+
+    ``positions`` (a, b) are 0-based offsets into the circular read of point
+    ``row`` (offset 0 is the entry just after the diagonal), one past the
+    first and the last step of the order break: the least entry among
+    offsets a..b-1 breaks the (strict) qcr margin against the largest entry
+    before a and the largest from b on.
+    """
+
+    row: int
+    positions: tuple[int, int]
+
+    def to_json_dict(self) -> dict[str, Any]:
+        return {"row": self.row, "positions": list(self.positions)}
 
 
 @dataclass(frozen=True)
@@ -97,19 +111,25 @@ class CrossingWitness:
 
 @dataclass(frozen=True)
 class ClassificationReport:
+    """The four flags, and a witness under the key of each false one.
+
+    ``witnesses`` is stored as a read-only copy of the mapping given, so
+    one witness may stand under two keys.
+    """
+
     quasi: bool
     strict_quasi: bool
     circular: bool
     strict_circular: bool
-    witnesses: dict[str, Any] = field(default_factory=dict)
+    witnesses: Mapping[str, RowWitness | CrossingWitness] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "witnesses", MappingProxyType(dict(self.witnesses)))
 
     def to_json_dict(self) -> dict[str, Any]:
         witness = None
         if self.witnesses:
-            witness = {
-                key: val.to_json_dict() if hasattr(val, "to_json_dict") else val
-                for key, val in self.witnesses.items()
-            }
+            witness = {key: val.to_json_dict() for key, val in self.witnesses.items()}
         return {
             "quasi": self.quasi,
             "strict_quasi": self.strict_quasi,
@@ -119,22 +139,18 @@ class ClassificationReport:
         }
 
 
-# (point or row, (a, b)): a row's witness, as UnimodalityReport describes it
-_Violation = Optional[tuple[int, tuple[int, int]]]
-
-
 class _RowScan(NamedTuple):
     """What verify's row scan found: per position the 1-based offsets
     s_off/e_off of the first/last row-maximum entry in the circular read
     (the farthest arc), and the first weak and strict violations as
-    (point, (a, b)).  The scan stops at the first block with a weak
+    RowWitness of their point.  The scan stops at the first block with a weak
     violation, leaving s_off/e_off past it at their initial values; they
     are read only when there is no weak violation, so the scan was whole."""
 
     s_off: np.ndarray
     e_off: np.ndarray
-    weak_violation: _Violation
-    strict_violation: _Violation
+    weak_violation: Optional[RowWitness]
+    strict_violation: Optional[RowWitness]
 
 
 def _break(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,10 +165,11 @@ def _break(before: np.ndarray, after: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _scan_block(
     v: np.ndarray, eps: float, S: np.ndarray, E: np.ndarray
-) -> tuple[_Violation, _Violation]:
+) -> tuple[Optional[RowWitness], Optional[RowWitness]]:
     """Scan the circular reads v (B, n-1) of a block of rows: write each
     row's arc ends into S and E, and return the block's first weak and
-    first strict violation, each as (row within the block, (a, b)) or None."""
+    first strict violation, each a RowWitness of the row within the block,
+    or None."""
     L = v.shape[1]
     m = v.max(axis=1)
     plateau = v >= (m[:, None] - eps)
@@ -178,7 +195,7 @@ def _scan_block(
     for first, last in (_break(w_fall, w_rise), _break(~rise, ~fall)):
         ok = first >= last
         b = int(ok.argmin())
-        found.append(None if ok[b] else (b, (int(first[b]) + 1, int(last[b]) + 1)))
+        found.append(None if ok[b] else RowWitness(b, (int(first[b]) + 1, int(last[b]) + 1)))
     return found[0], found[1]
 
 
@@ -208,9 +225,9 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
         v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
         w, s = _scan_block(v, eps, S[start : start + k], E[start : start + k])
         if strict is None and s is not None:
-            strict = (int(rows[s[0]]), s[1])
+            strict = s._replace(row=int(rows[s.row]))
         if w is not None:
-            weak = (int(rows[w[0]]), w[1])
+            weak = w._replace(row=int(rows[w.row]))
             break
     return _RowScan(S, E, weak, strict)
 
@@ -220,9 +237,7 @@ def _unimodality(report: ClassificationReport, key: str) -> UnimodalityReport:
     w = report.witnesses.get(key)
     if w is None:
         return UnimodalityReport(ok=True, violating_row=None, violating_positions=None)
-    return UnimodalityReport(
-        ok=False, violating_row=w["row"], violating_positions=tuple(w["positions"])
-    )
+    return UnimodalityReport(ok=False, violating_row=w.row, violating_positions=w.positions)
 
 
 def is_unimodal(D: DissimilarityMatrix, order: CircularOrder, eps: float = 0.0) -> UnimodalityReport:
@@ -323,14 +338,13 @@ def verify(
     """
     order_arr = _check_order(D, order)
     scan = _scan_rows(D.values, order_arr, _check_eps(eps))
-    found: dict[str, Any] = {}
+    found: dict[str, RowWitness | CrossingWitness] = {}
     for strict, viol, quasi_key, circ_key in (
         (False, scan.weak_violation, "quasi", "circular"),
         (True, scan.strict_violation, "strict_quasi", "strict_circular"),
     ):
         if viol is not None:
-            point, pos = viol
-            found[quasi_key] = found[circ_key] = {"row": point, "positions": list(pos)}
+            found[quasi_key] = found[circ_key] = viol
         elif (w := _crossing_from_scan(order_arr, scan, strict)) is not None:
             found[circ_key] = w
     # flags and witnesses in field order, the quasi witnesses first

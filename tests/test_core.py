@@ -428,6 +428,21 @@ class TestChainHolds:
         assert chain_holds(o, pts) == chain_holds(o, rotated)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda D, o: farthest_set(D, 1.5),
+        lambda D, o: chain_holds(o, [0, 1.5, 2]),
+        # an integral float would pass a range check and a dict lookup
+        lambda D, o: chain_holds(o, [0, 1.0, 2]),
+    ],
+    ids=["farthest_set", "chain_holds", "chain_holds_integral_float"],
+)
+def test_non_integer_index_rejected(fixture4, call):
+    with pytest.raises(ValueError, match="not a sequence of indices"):
+        call(fixture4, canonicalize(range(4)))
+
+
 class TestArcBetween:
     # the oracle's arc between two positions, read off its arc mask: the two
     # ends and every position of a triple inside the arc

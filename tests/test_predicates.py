@@ -65,6 +65,21 @@ class TestSqcr:
             sqcr(fixture4, Quadruple(0, 1, 2, 2))
 
 
+@pytest.mark.parametrize("pred", [cr, scr, qcr, sqcr])
+@pytest.mark.parametrize(
+    "q, message",
+    [
+        # -1 would wrap to point 3 and 4 lies past the matrix
+        ((0, 1, 2, -1), "out of range"),
+        ((0, 1, 2, 4), "out of range"),
+        ((0, 1.5, 2, 3), "not a sequence of indices"),
+    ],
+)
+def test_bad_index_rejected(fixture4, pred, q, message):
+    with pytest.raises(ValueError, match=message):
+        pred(fixture4, q)
+
+
 class TestEpsilonSemantics:
     def test_strict_needs_margin_beyond_eps(self):
         D = circle_instance(5, "arc")

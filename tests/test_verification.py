@@ -1,3 +1,4 @@
+import json
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +8,11 @@ from hypothesis import strategies as st
 
 from circrob import (
     CircularOrder,
+    ClassificationReport,
     DissimilarityMatrix,
+    RowWitness,
     canonicalize,
+    circle_instance,
     circular_robinson_by_arcs,
     crossing_violation,
     enumerate_circular_orders,
@@ -230,6 +234,54 @@ class TestVerify:
         assert list(natural["witness"]) == ["circular", "strict_circular"]
 
     @pytest.mark.parametrize(
+        "values, seq, eps, text",
+        [
+            (None, (0, 2, 1, 3), 0.0,
+             '{"quasi": false, "strict_quasi": false, "circular": false, "strict_circular": false,'
+             ' "witness": {"quasi": {"row": 0, "positions": [1, 2]},'
+             ' "strict_quasi": {"row": 0, "positions": [1, 2]},'
+             ' "circular": {"row": 0, "positions": [1, 2]},'
+             ' "strict_circular": {"row": 0, "positions": [1, 2]}}}'),
+            (None, (0, 1, 2, 3), 0.0,
+             '{"quasi": true, "strict_quasi": true, "circular": false, "strict_circular": false,'
+             ' "witness": {"circular": {"x": 0, "y": 2, "x_prime": 3, "y_prime": 1,'
+             ' "pattern": "x<y\'<y<x\'"}, "strict_circular": {"x": 0, "y": 2, "x_prime": 3,'
+             ' "y_prime": 1, "pattern": "x<y\'<y<x\'"}}}'),
+            (None, (0, 1, 3, 2), 0.0,
+             '{"quasi": true, "strict_quasi": true, "circular": true, "strict_circular": true,'
+             ' "witness": null}'),
+            # the eps = 1 case of test_step_after_plateau_within_eps_rejected
+            ([[0, 5, 4, 3], [5, 0, 1, 3], [4, 1, 0, 1], [3, 3, 1, 0]], (0, 1, 2, 3), 1.0,
+             '{"quasi": true, "strict_quasi": false, "circular": true, "strict_circular": false,'
+             ' "witness": {"strict_quasi": {"row": 0, "positions": [1, 2]},'
+             ' "strict_circular": {"row": 0, "positions": [1, 2]}}}'),
+        ],
+    )
+    def test_json_text(self, fixture4, values, seq, eps, text):
+        D = fixture4 if values is None else DissimilarityMatrix(values)
+        assert json.dumps(verify(D, canonicalize(seq), eps).to_json_dict()) == text
+
+    def test_witnesses_read_only(self, fixture4):
+        # one row witness stands under "quasi" and "circular": a write
+        # through one key must not reach the other
+        rep = verify(circle_instance(6, "chord"), canonicalize([0, 2, 1, 3, 4, 5]))
+        assert rep.witnesses["quasi"] == rep.witnesses["circular"] == RowWitness(0, (1, 2))
+        with pytest.raises(TypeError):
+            rep.witnesses["quasi"] = None
+        with pytest.raises(TypeError):
+            del rep.witnesses["circular"]
+        with pytest.raises(AttributeError):
+            rep.witnesses["quasi"].row = 99
+        crossing = verify(fixture4, canonicalize(range(4))).witnesses["circular"]
+        with pytest.raises(AttributeError):
+            crossing.x = 99
+        # the report keeps its own copy of the mapping it was built with
+        given_witnesses = dict(rep.witnesses)
+        built = ClassificationReport(False, False, False, False, given_witnesses)
+        given_witnesses.clear()
+        assert built.witnesses == rep.witnesses
+
+    @pytest.mark.parametrize(
         "seq",
         [
             (0, 0, 0, 0),
@@ -420,7 +472,7 @@ def test_scan_stops_at_first_weak_block(monkeypatch):
     D = perturb(circle_instance(n, "chord"), 1e-3, seed=3)
     order = find_compatible_order(D)
     rep = verify(D, order)
-    assert not rep.quasi and rep.witnesses["quasi"]["row"] == 0
+    assert not rep.quasi and rep.witnesses["quasi"].row == 0
     assert calls == [rows]
     for reader in (is_unimodal, is_strictly_unimodal):
         calls.clear()
