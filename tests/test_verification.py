@@ -829,6 +829,49 @@ class TestRowScan:
             tracemalloc.stop()
         assert peak <= 3 * 2**20, peak
 
+    # Blocks whose rows all pass the strict rule take the arc ends from the
+    # first argmax alone; a block with any other row runs the full rules.
+    ACCEPT_CASES = {
+        # cycle distances on 5 points, d(0, 3) raised by 0.05: row 0 reads
+        # 1, 2, 2.05, 1 (at eps = 0.1 the step within eps comes just before
+        # the peak) and row 3 reads 1, 2.05, 2, 1 (just after it)
+        "within_eps_beside_peak": (
+            [
+                [0, 1, 2, 2.05, 1],
+                [1, 0, 1, 2, 2],
+                [2, 1, 0, 1, 2],
+                [2.05, 2, 1, 0, 1],
+                [1, 2, 2, 1, 0],
+            ],
+            False,
+        ),
+        # reads 1, 1.05 / 1.02, 1 / 1.05, 1.02: peaks at the first and the
+        # last entry, each with a neighbour within eps = 0.1
+        "peak_at_read_ends": ([[0, 1, 1.05], [1, 0, 1.02], [1.05, 1.02, 0]], False),
+        # points 0, 1, 3, 6 on a line: reads 1, 3, 6 / 2, 5, 1 / 3, 3, 2 / 6, 5, 3
+        "line": (np.abs(np.subtract.outer([0, 1, 3, 6], [0, 1, 3, 6])), False),
+        # rows 1-3 pass the strict rule; row 0 reads three equal maxima, so
+        # it passes only the weak one and its block must fall back
+        "weak_only_row": (
+            [[0, 1, 1, 1], [1, 0, 0.5, 2], [1, 0.5, 0, 0.4], [1, 2, 0.4, 0]],
+            True,
+        ),
+    }
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-9, 0.1])
+    @pytest.mark.parametrize("case", sorted(ACCEPT_CASES))
+    def test_accept_path_matches_reference(self, monkeypatch, case, eps):
+        values, strict_bad = self.ACCEPT_CASES[case]
+        D = DissimilarityMatrix(values)
+        seq = tuple(range(D.n))
+        expect = _reference_scan(D.values, seq, eps)
+        assert expect["weak_violation"] is None
+        assert (expect["strict_violation"] is not None) == strict_bad
+        for rows in (1, D.n):
+            monkeypatch.setattr(verification, "_BLOCK_BYTES", rows * 16 * D.n)
+            got = _scan_fields(verification._scan_rows(D.values, np.arange(D.n), eps))
+            assert got == {k: expect[k] for k in got}, (case, eps, rows)
+
 
 # eps > 0.  The quasi case passes only if eps applies to every pair of a row
 # read: applied to neighbouring entries alone, verify accepts the order.

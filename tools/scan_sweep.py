@@ -1,18 +1,21 @@
 """Time the row scan and `verify` of two circrob source trees side by side.
 
-    python3 tools/scan_sweep.py --before <old checkout>/src --after src --out BENCH_6.json
+    python3 tools/scan_sweep.py --before <old checkout>/src --after src --out BENCH_18.json
 
-For each n in SIZES, an evenly spaced chord circle of n points is built with
-identity labels and with shuffled ones, and its compatible order is read
-in-process by both trees: `verification._scan_rows` (the row scan, at most
-one O(n^2) pass: it stops at the first block that breaks the weak rule) and
-`verify` (scan plus crossing tests).  Rounds alternate which tree runs
-first; each figure is the best of REPEATS rounds.  A banded ``values.max()``
-over the same matrix is the one-pass reference, so scan/pass says how far
-the scan is from reading the matrix once.  Both trees must give the same
-scan fields (the arc ends and both violations, which every tree holds) and
-the same `verify` report, as JSON text (key order included), or the script
-stops.
+For each n in --sizes (default SIZES), an evenly spaced chord circle of n
+points is built with identity labels and with shuffled ones, and its
+compatible order is read in-process by both trees: `verification._scan_rows`
+(the row scan, at most one O(n^2) pass: it stops at the first block that
+breaks the weak rule) and `verify` (scan plus crossing tests), at eps = 0
+and at eps = EPS.  A third row per size adds NOISE * (u_i + u_j) to the
+shuffled circle, u uniform in [0, 1): its first rows break the weak rule,
+so the scan stops in its first block and the reports carry row witnesses.
+Rounds alternate which tree runs first; each figure is the best of REPEATS
+rounds.  A banded ``values.max()`` over the same matrix is the one-pass
+reference, so scan/pass says how far the scan is from reading the matrix
+once.  Both trees must give the same scan fields (the arc ends and both
+violations, which every tree holds) and the same `verify` reports at both
+eps, as JSON text (key order included), or the script stops.
 """
 
 from __future__ import annotations
@@ -30,7 +33,9 @@ import numpy as np
 
 SIZES = (1000, 2000, 4000, 8000, 10000)
 REPEATS = 3
-SEED = 1  # of the label shuffles
+SEED = 1  # of the label shuffles and the noise
+EPS = 1e-9
+NOISE = 1e-3
 PASS_BAND_BYTES = 1 << 20
 
 
@@ -46,14 +51,17 @@ def _load(name: str, src: Path):
     return module
 
 
-def _chord_circle(pos: np.ndarray) -> np.ndarray:
-    """2 sin(pi |pos[i] - pos[j]| / n): the values circle_instance(n, "chord")
-    gives, with point i placed at position pos[i]."""
+def _chord_circle(pos: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """2 sin(pi |pos[i] - pos[j]| / n) + noise[i] + noise[j] off the
+    diagonal: with zero noise, the values circle_instance(n, "chord") gives,
+    with point i placed at position pos[i]."""
     n = pos.size
     out = np.empty((n, n))
     for a in range(0, n, 1024):
         offs = np.abs(pos[a : a + 1024, None] - pos[None, :])
         out[a : a + 1024] = 2.0 * np.sin(np.pi * offs / n)
+        out[a : a + 1024] += noise[a : a + 1024, None] + noise[None, :]
+    np.fill_diagonal(out, 0.0)
     out.flags.writeable = False
     return out
 
@@ -92,12 +100,15 @@ def _cpu_model() -> str:
 
 def _row(trees: dict, n: int, labels: str) -> dict:
     rng = np.random.default_rng([SEED, n])
-    pos = rng.permutation(n) if labels == "shuffled" else np.arange(n)
-    values = _chord_circle(pos)
+    pos = rng.permutation(n) if labels != "identity" else np.arange(n)
+    noise = NOISE * rng.random(n) if labels == "perturbed" else np.zeros(n)
+    values = _chord_circle(pos, noise)
     order_arr = np.argsort(pos).astype(np.intp)
     D = trees["after"].DissimilarityMatrix._adopt(values)
     order = trees["after"].canonicalize(order_arr.tolist())
-    times = {"pass": [], **{f"{what}_{t}": [] for what in ("scan", "verify") for t in trees}}
+    times = {"pass": []}
+    for what in ("scan", "verify", "verify_eps"):
+        times.update({f"{what}_{t}": [] for t in trees})
     scans, reports = {}, {}
     for r in range(REPEATS):
         sides = list(trees) if r % 2 == 0 else list(trees)[::-1]
@@ -105,12 +116,14 @@ def _row(trees: dict, n: int, labels: str) -> dict:
         for t in sides:
             scan_rows = trees[t].verification._scan_rows
             scans[t] = _timed(lambda: scan_rows(values, order_arr, 0.0), times[f"scan_{t}"])
-        for t in sides:
-            verify = trees[t].verify
-            reports[t] = _timed(lambda: verify(D, order), times[f"verify_{t}"])
-    if _fields(scans["before"]) != _fields(scans["after"]) or (
-        json.dumps(reports["before"].to_json_dict())
-        != json.dumps(reports["after"].to_json_dict())
+        for what, eps in (("verify", 0.0), ("verify_eps", EPS)):
+            for t in sides:
+                verify = trees[t].verify
+                reports[what, t] = _timed(lambda: verify(D, order, eps), times[f"{what}_{t}"])
+    if _fields(scans["before"]) != _fields(scans["after"]) or any(
+        json.dumps(reports[what, "before"].to_json_dict())
+        != json.dumps(reports[what, "after"].to_json_dict())
+        for what in ("verify", "verify_eps")
     ):
         sys.exit(f"trees disagree at n={n}, {labels} labels")
     best = {k: min(v) for k, v in times.items()}
@@ -120,10 +133,14 @@ def _row(trees: dict, n: int, labels: str) -> dict:
         "pass_s": round(best["pass"], 6),
         "scan_s": {t: round(best[f"scan_{t}"], 5) for t in trees},
         "verify_s": {t: round(best[f"verify_{t}"], 5) for t in trees},
+        "verify_eps_s": {t: round(best[f"verify_eps_{t}"], 5) for t in trees},
         "scan_over_pass": {t: round(best[f"scan_{t}"] / best["pass"], 2) for t in trees},
+        "eps_over_0": {t: round(best[f"verify_eps_{t}"] / best[f"verify_{t}"], 2) for t in trees},
         "scan_speedup": round(best["scan_before"] / best["scan_after"], 2),
         "verify_speedup": round(best["verify_before"] / best["verify_after"], 2),
-        "strict_circular": reports["after"].strict_circular,
+        "verify_eps_speedup": round(best["verify_eps_before"] / best["verify_eps_after"], 2),
+        "quasi": reports["verify", "after"].quasi,
+        "strict_circular": reports["verify", "after"].strict_circular,
     }
 
 
@@ -132,18 +149,26 @@ def main() -> None:
     parser.add_argument("--before", type=Path, required=True, help="src dir of the old tree")
     parser.add_argument("--after", type=Path, required=True, help="src dir of the new tree")
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument(
+        "--sizes",
+        type=lambda text: [int(n) for n in text.split(",")],
+        default=list(SIZES),
+        help="comma-separated n (default %(default)s)",
+    )
     args = parser.parse_args()
 
     trees = {side: _load(f"circrob_{side}", getattr(args, side)) for side in ("before", "after")}
     rows = []
-    for n in SIZES:
-        for labels in ("shuffled", "identity"):
+    for n in args.sizes:
+        for labels in ("shuffled", "identity", "perturbed"):
             rows.append(_row(trees, n, labels))
             print(json.dumps(rows[-1]), flush=True)
     record = {
         "what": "in-process row scan and verify of chord circles, before and after",
         "method": f"interleaved rounds, best of {REPEATS}; pass = banded values.max()",
         "seed": SEED,
+        "eps": EPS,
+        "noise": NOISE,
         "host": {
             "cpu": _cpu_model(),
             "cores": os.cpu_count(),
