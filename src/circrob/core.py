@@ -66,33 +66,34 @@ def _validate_values(arr: np.ndarray, eps: float) -> float:
     """Raise MatrixFormatError at the first broken rule, in this order: a
     non-finite entry, the largest asymmetry above eps, a nonzero diagonal, a
     negative entry, a zero off-diagonal entry; else return the largest
-    asymmetry.  Works on bands of _BAND rows, not copies of the matrix."""
+    asymmetry.  One sweep over bands of _BAND rows, not copies of the matrix."""
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise MatrixFormatError(f"matrix must be square, got shape {arr.shape}")
     n = arr.shape[0]
     if n == 0:
         raise MatrixFormatError("matrix must have at least one point")
-    bands = [(a, min(a + _BAND, n)) for a in range(0, n, _BAND)]
-    for a, b in bands:
-        at = _first(~np.isfinite(arr[a:b]), a)
+    # Other rules raise after the sweep, so a band raises a non-finite entry at
+    # once.  The largest asymmetry first reached in row-major order lies on or
+    # above the diagonal: band rows a.. compare columns a: with their mirror.
+    asym, asym_at, neg_at, zero_at = 0.0, (0, 0), None, None
+    for a in range(0, n, _BAND):
+        band = arr[a : a + _BAND]
+        at = _first(~np.isfinite(band), a)
         if at is not None:
             raise MatrixFormatError(f"non-finite entry at ({at[0]},{at[1]})")
-    # The largest asymmetry first reached in row-major order lies on or above
-    # the diagonal, so band [a, b) only compares columns a: with their mirror.
-    asym, asym_at, neg_at, zero_at = 0.0, (0, 0), None, None
-    for a, b in bands:
-        band = arr[a:b]
-        diff = np.abs(band[:, a:] - arr[a:, a:b].T)
+        diff = np.abs(band[:, a:] - arr[a:, a : a + _BAND].T)
         k = int(np.argmax(diff))
         if diff.flat[k] > asym:
             i, j = divmod(k, n - a)
             asym, asym_at = diff.flat[k], (a + i, a + j)
         if neg_at is None:
-            neg_at = _first(band < 0, a)
-        if zero_at is None:
-            zero = band <= 0
-            zero[np.arange(b - a), np.arange(a, b)] = False
-            zero_at = _first(zero, a)
+            # off the diagonal: a negative diagonal entry is raised as nonzero
+            low = band <= 0
+            np.fill_diagonal(low[:, a:], False)
+            at = _first(low, a)
+            if at is not None:
+                zero_at = zero_at or at
+                neg_at = _first(band < 0, a)
     if asym > eps:
         i, j = asym_at
         raise MatrixFormatError(

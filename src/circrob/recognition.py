@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import CircularOrder, DissimilarityMatrix, canonicalize
+from .core import _BAND, CircularOrder, DissimilarityMatrix, canonicalize
 from .predicates import _holds, _lr_margin, _qcr_margin
 from .verification import ClassificationReport, verify
 
@@ -32,8 +32,6 @@ __all__ = [
     "compatible_orders",
     "bipartition_criterion",
 ]
-
-_BLOCK = 64
 
 STRICT_QUASI = "strict-quasi"
 STRICT_CIRCULAR = "strict-circular"
@@ -74,13 +72,15 @@ def _j_mask(values: np.ndarray, x: int, y: int, eps: float) -> np.ndarray:
     return mask
 
 
-def _near_far_masks(
-    values: np.ndarray, x: int, x_prime: int, eps: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Masks of the points at least as close to x as to x', and vice versa."""
-    dN = values[:, x]
-    dF = values[:, x_prime]
-    return (dN - dF) <= eps, (dF - dN) <= eps
+def _cut(values: np.ndarray, eps: float) -> tuple[int, np.ndarray, np.ndarray]:
+    """The construction's cut at point 0: its first farthest point x', the
+    mask of the points at least as close to 0 as to x', and the mask of the
+    points whose distances to 0 and x' differ by at most eps."""
+    row = values[0].copy()
+    row[0] = -np.inf
+    x_prime = int(np.argmax(row))
+    diff = values[:, 0] - values[:, x_prime]
+    return x_prime, diff <= eps, np.abs(diff) <= eps
 
 
 def orders_agree(
@@ -160,13 +160,9 @@ def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
         return [np.zeros(1, dtype=np.intp)]
     v = D.values
     x = 0
-    row = v[x].copy()
-    row[x] = -np.inf
-    x_prime = int(np.argmax(row))
+    x_prime, in_N, meet = _cut(v, eps)
     dN = v[:, x]
     dF = v[:, x_prime]
-    in_N, in_F = _near_far_masks(v, x, x_prime, eps)
-    meet = in_N & in_F
     idx = np.arange(n, dtype=np.intp)
 
     if meet.any():
@@ -244,41 +240,36 @@ def compatible_orders(
 def bipartition_criterion(
     D: DissimilarityMatrix, eps: float = 0.0
 ) -> Optional[tuple[frozenset[int], frozenset[int], float]]:
-    """Threshold split into two clusters, if one exists.
+    """Threshold split (N, F, delta) into two clusters, N holding point 0,
+    if one exists.
 
-    Looks for a partition X = N u F with |N|, |F| > 1 and a threshold delta
-    such that d(u,v) > delta exactly when u and v are in different parts.
-    Any such partition must separate a globally farthest pair (u*, v*), and
-    each point's side is then forced by comparing d(., u*) with d(., v*), so
-    one candidate split decides the question in O(n^2).
+    Looks for a partition X = N u F with |N|, |F| > 1 whose smallest
+    cross-part value, cross, exceeds its largest intra-part value, delta,
+    by more than eps.  Only the construction's cut can be one, so it decides
+    the question in O(n^2): if a split exists, d(0,x') >= cross > delta puts
+    point 0's first farthest point x' in F, and every point is then nearer
+    its own part's seed by more than eps, also in floats, as rounding is
+    monotone and fl(a - b) = -fl(b - a).
     """
     n = D.n
     if n < 4:
         return None
     v = D.values
-    # the first maximum in row-major order, without np.argmax(v), which
-    # copies a read-only matrix
-    i = int(np.argmax(v.max(axis=1)))
-    j = int(np.argmax(v[i]))
-    a = v[:, i]
-    b = v[:, j]
-    near_i = (a - b) < -eps
-    near_j = (b - a) < -eps
-    if not (near_i | near_j).all():
+    _, in_N, meet = _cut(v, eps)
+    if meet.any():
         return None  # some point is equidistant from both seeds
-    if near_i.sum() < 2 or near_j.sum() < 2:
+    N, F = np.flatnonzero(in_N), np.flatnonzero(~in_N)
+    if N.size < 2 or F.size < 2:
         return None
-    N = np.flatnonzero(near_i)
-    F = np.flatnonzero(near_j)
     # the intra-cluster maximum and the cross-cluster minimum, over bands of
-    # _BLOCK rows so that no n^2 block is copied
+    # _BAND rows so that no n^2 block is copied
     intra, cross = -np.inf, np.inf
-    for start in range(0, N.size, _BLOCK):
-        band = v[N[start : start + _BLOCK]]
+    for start in range(0, N.size, _BAND):
+        band = v[N[start : start + _BAND]]
         intra = max(intra, band[:, N].max())
         cross = min(cross, band[:, F].min())
-    for start in range(0, F.size, _BLOCK):
-        intra = max(intra, v[F[start : start + _BLOCK]][:, F].max())
+    for start in range(0, F.size, _BAND):
+        intra = max(intra, v[F[start : start + _BAND]][:, F].max())
     if cross - intra <= eps:
         return None
     return (

@@ -19,7 +19,7 @@ from circrob import (
     two_cluster_instance,
     verify,
 )
-from circrob.recognition import _j_mask, _near_far_masks
+from circrob.recognition import _cut, _j_mask
 from conftest import mixed_small_space, random_space
 
 
@@ -27,11 +27,13 @@ def j_set(D, x, y):
     return set(np.flatnonzero(_j_mask(D.values, x, y, 0.0)).tolist())
 
 
-def near_far(D, x, x_prime):
-    # (N, F, meet): the points at least as close to x as to x', vice versa,
-    # and both
-    in_N, in_F = _near_far_masks(D.values, x, x_prime, 0.0)
-    return tuple(set(np.flatnonzero(m).tolist()) for m in (in_N, in_F, in_N & in_F))
+def near_far(D):
+    # the cut at point 0: (x', N, F, meet), with x' the first farthest point
+    # of 0 and N, F, meet the points at least as close to 0 as to x', vice
+    # versa, and both
+    x_prime, in_N, meet = _cut(D.values, 0.0)
+    masks = (in_N, ~in_N | meet, meet)
+    return (x_prime, *(set(np.flatnonzero(m).tolist()) for m in masks))
 
 
 class TestJSet:
@@ -51,14 +53,14 @@ class TestJSet:
 
 class TestNearFarPartition:
     def test_fixture(self, fixture4):
-        assert near_far(fixture4, 0, 3) == ({0, 1}, {2, 3}, set())
+        assert near_far(fixture4) == (3, {0, 1}, {2, 3}, set())
 
     def test_circle(self, circle5):
-        assert near_far(circle5, 0, 2) == ({0, 1, 4}, {1, 2, 3}, {1})
+        assert near_far(circle5) == (2, {0, 1, 4}, {1, 2, 3}, {1})
 
     def test_two_points(self):
         D = DissimilarityMatrix([[0, 5], [5, 0]])
-        assert near_far(D, 0, 1) == ({0}, {1}, set())
+        assert near_far(D) == (1, {0}, {1}, set())
 
     def test_covers_everything(self):
         rng = np.random.default_rng(9)
@@ -67,7 +69,8 @@ class TestNearFarPartition:
             from circrob import farthest_set
 
             _, fx = farthest_set(D, 0)
-            N, F, meet = near_far(D, 0, min(fx))
+            x_prime, N, F, meet = near_far(D)
+            assert x_prime == min(fx)
             assert N | F == set(range(D.n))
             assert meet == N & F
             assert 0 in N and min(fx) in F
@@ -318,7 +321,8 @@ class TestBipartitionCriterion:
 
     @staticmethod
     def _whole_block_reference(D, eps=0.0):
-        # seeds from the first flat maximum, blocks copied with np.ix_
+        # seeds from the first flat maximum, not the cut at point 0, and
+        # blocks copied with np.ix_
         v = D.values
         if D.n < 4:
             return None
@@ -337,7 +341,7 @@ class TestBipartitionCriterion:
     def test_matches_whole_block_reference(self, block, monkeypatch):
         import circrob.recognition as rec
 
-        monkeypatch.setattr(rec, "_BLOCK", block)
+        monkeypatch.setattr(rec, "_BAND", block)
         rng = np.random.default_rng(77)
         spaces = [mixed_small_space(rng, n_lo=4, n_hi=9) for _ in range(150)]
         spaces += [random_space(int(rng.integers(4, 9)), rng, ints=True) for _ in range(150)]
@@ -349,8 +353,14 @@ class TestBipartitionCriterion:
         for D in spaces:
             for eps in (0.0, 0.5):
                 got = bipartition_criterion(D, eps)
-                assert got == self._whole_block_reference(D, eps), D.values.tolist()
-                found += got is not None
+                want = self._whole_block_reference(D, eps)
+                assert (got is None) == (want is None), D.values.tolist()
+                if got is None:
+                    continue
+                # the reference's N holds the first row of the largest entry
+                assert {got[0], got[1]} == {want[0], want[1]} and got[2] == want[2]
+                assert 0 in got[0]
+                found += 1
         assert found >= 24
 
     def test_peak_memory_below_quarter_matrix(self):
@@ -435,3 +445,37 @@ class TestStructureOfReturnedOrders:
                     gaps = [b - a for a, b in zip(spans, spans[1:])]
                     wrap = spans[0] + n - spans[-1]
                     assert sum(g > 1 for g in gaps + [wrap]) <= 1
+
+    def test_two_orders_differ_by_reversing_a_cluster(self):
+        # the theorem's structure: when two orders are compatible, both parts
+        # of the bipartition are arcs of both orders, and the second order is
+        # the first with one part reversed in place
+        def arc_start(seq, part):
+            starts = [i for i, p in enumerate(seq) if p in part and seq[i - 1] not in part]
+            return starts[0] if len(starts) == 1 else None
+
+        rng = np.random.default_rng(2222)
+        two = {0.0: 0, 0.05: 0}
+        for _ in range(120):
+            k, l = (int(m) for m in rng.integers(2, 12, size=2))
+            perm = rng.permutation(k + l)
+            C = two_cluster_instance(k, l, seed=int(rng.integers(1 << 30)))
+            # chords to the far cluster are nearly flat in the angle: scaled up,
+            # many spaces stay strict at eps = 0.05
+            D = DissimilarityMatrix(1000 * C.values[np.ix_(perm, perm)])
+            for eps in two:
+                s = compatible_orders(D, "strict-quasi", eps)
+                if len(s.orders) != 2:
+                    continue
+                two[eps] += 1
+                N, F, _ = s.bipartition
+                assert 0 in N
+                for order in s.orders:
+                    assert arc_start(order.seq, N) is not None
+                    assert arc_start(order.seq, F) is not None
+                first, second = (list(o.seq) for o in s.orders)
+                i = arc_start(first, N)
+                first = first[i:] + first[:i]
+                flipped = first[: len(N)] + first[len(N) :][::-1]
+                assert canonicalize(flipped).seq == tuple(second)
+        assert min(two.values()) >= 50, two

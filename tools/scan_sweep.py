@@ -10,6 +10,10 @@ breaks the weak rule) and `verify` (scan plus crossing tests), at eps = 0
 and at eps = EPS.  A third row per size adds NOISE * (u_i + u_j) to the
 shuffled circle, u uniform in [0, 1): its first rows break the weak rule,
 so the scan stops in its first block and the reports carry row witnesses.
+A fourth row per size reads `two_cluster_instance(n // 2, n - n // 2)` in
+its compatible order with the second cluster mirrored, which is not
+strict-circular: its reports carry crossing witnesses under both circular
+keys, and the script stops if no report of a run holds one.
 Rounds alternate which tree runs first; each figure is the best of REPEATS
 rounds.  A banded ``values.max()`` over the same matrix is the one-pass
 reference, so scan/pass says how far the scan is from reading the matrix
@@ -99,11 +103,16 @@ def _cpu_model() -> str:
 
 
 def _row(trees: dict, n: int, labels: str) -> dict:
-    rng = np.random.default_rng([SEED, n])
-    pos = rng.permutation(n) if labels != "identity" else np.arange(n)
-    noise = NOISE * rng.random(n) if labels == "perturbed" else np.zeros(n)
-    values = _chord_circle(pos, noise)
-    order_arr = np.argsort(pos).astype(np.intp)
+    if labels == "two-cluster":
+        k = n // 2
+        values = trees["after"].two_cluster_instance(k, n - k, seed=SEED).values
+        order_arr = np.r_[0:k, n - 1 : k - 1 : -1].astype(np.intp)
+    else:
+        rng = np.random.default_rng([SEED, n])
+        pos = rng.permutation(n) if labels != "identity" else np.arange(n)
+        noise = NOISE * rng.random(n) if labels == "perturbed" else np.zeros(n)
+        values = _chord_circle(pos, noise)
+        order_arr = np.argsort(pos).astype(np.intp)
     D = trees["after"].DissimilarityMatrix._adopt(values)
     order = trees["after"].canonicalize(order_arr.tolist())
     times = {"pass": []}
@@ -127,6 +136,8 @@ def _row(trees: dict, n: int, labels: str) -> dict:
     ):
         sys.exit(f"trees disagree at n={n}, {labels} labels")
     best = {k: min(v) for k, v in times.items()}
+    witnesses = reports["verify", "after"].witnesses.values()
+    crossing = trees["after"].CrossingWitness
     return {
         "n": n,
         "labels": labels,
@@ -141,6 +152,7 @@ def _row(trees: dict, n: int, labels: str) -> dict:
         "verify_eps_speedup": round(best["verify_eps_before"] / best["verify_eps_after"], 2),
         "quasi": reports["verify", "after"].quasi,
         "strict_circular": reports["verify", "after"].strict_circular,
+        "crossing_witness": any(isinstance(w, crossing) for w in witnesses),
     }
 
 
@@ -160,11 +172,14 @@ def main() -> None:
     trees = {side: _load(f"circrob_{side}", getattr(args, side)) for side in ("before", "after")}
     rows = []
     for n in args.sizes:
-        for labels in ("shuffled", "identity", "perturbed"):
+        for labels in ("shuffled", "identity", "perturbed", "two-cluster"):
             rows.append(_row(trees, n, labels))
             print(json.dumps(rows[-1]), flush=True)
+    if not any(row["crossing_witness"] for row in rows):
+        sys.exit("no report held a crossing witness, so their agreement went unchecked")
     record = {
-        "what": "in-process row scan and verify of chord circles, before and after",
+        "what": "in-process row scan and verify of chord circles and two clusters,"
+        " before and after",
         "method": f"interleaved rounds, best of {REPEATS}; pass = banded values.max()",
         "seed": SEED,
         "eps": EPS,
