@@ -197,15 +197,20 @@ def canonicalize(seq: Sequence[int]) -> CircularOrder:
     return CircularOrder(tuple(int(v) for v in fwd))
 
 
-def _check_indices(points: Sequence[int], n: int) -> None:
-    """ValueError unless every point is an index in range(n): an entry of
-    integer kind, by the rule of _check_permutation."""
+def _check_indices(points: Sequence[int], n: int, distinct: bool = False) -> np.ndarray:
+    """The points as an index array; ValueError unless every point is an
+    index in range(n), an entry of integer kind by the rule of
+    _check_permutation, and, when distinct, no point repeats."""
     arr = np.asarray(points)
     if arr.size and arr.dtype.kind not in "iu":
         raise ValueError(f"not a sequence of indices: {list(points)!r}")
     out = (arr < 0) | (arr >= n)
     if out.any():
         raise ValueError(f"index out of range: {arr.flat[out.argmax()]}")
+    arr = arr.astype(np.intp, copy=False)
+    if distinct and np.unique(arr).size != arr.size:
+        raise ValueError(f"repeated point: points must be distinct, got {arr.tolist()}")
+    return arr
 
 
 def _check_order(D: DissimilarityMatrix, order: CircularOrder) -> np.ndarray:
@@ -224,9 +229,9 @@ def chain_holds(order: CircularOrder, points: Sequence[int]) -> bool:
     points are skipped, matching the chain convention.
     """
     n = len(order)
+    points = _check_indices(points, n).tolist()
     if not points:
         raise ValueError("points must be nonempty")
-    _check_indices(points, n)
     pos = {p: i for i, p in enumerate(order.seq)}
     for i, j, k in combinations(range(len(points)), 3):
         u, v, w = points[i], points[j], points[k]
@@ -241,7 +246,7 @@ def farthest_set(D: DissimilarityMatrix, x: int) -> tuple[float, frozenset[int]]
     """Eccentricity of x and its set of farthest neighbors."""
     if D.n < 2:
         raise ValueError("farthest neighbors need at least two points")
-    _check_indices((x,), D.n)
+    (x,) = _check_indices((x,), D.n)
     row = D.values[x]
     mask = np.arange(D.n) != x
     r = float(row[mask].max())

@@ -9,12 +9,12 @@ so instances are reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import DissimilarityMatrix, _check_eps, canonicalize
+from .core import _BAND, DissimilarityMatrix, _check_eps, canonicalize
 from .recognition import bipartition_criterion
 from .verification import verify
 
@@ -27,7 +27,6 @@ __all__ = [
     "counterexample_fixture",
 ]
 
-_BLOCK = 1024
 PERTURB_FLOOR = 1e-12
 _TWO_CLUSTER_RETRIES = 32
 _CLUSTER_HALF_WIDTH = np.pi / 16
@@ -48,21 +47,15 @@ class GeneratorSpec:
     params: dict[str, Any] = field(default_factory=dict)
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "seed": self.seed,
-            "epsilon": self.epsilon,
-            "params": self.params,
-        }
+        return asdict(self)
 
 
 def _even_circle_values(n: int, metric: str) -> np.ndarray:
     # unit spacing for the arc metric, unit radius for the chord metric
     out = np.empty((n, n), dtype=float)
     js = np.arange(n)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
+    for start in range(0, n, _BAND):
+        stop = min(start + _BAND, n)
         offs = np.abs(np.arange(start, stop)[:, None] - js[None, :])
         if metric == "arc":
             out[start:stop] = np.minimum(offs, n - offs).astype(float)
@@ -74,8 +67,8 @@ def _even_circle_values(n: int, metric: str) -> np.ndarray:
 def _angle_circle_values(angles: np.ndarray, metric: str) -> np.ndarray:
     n = angles.size
     out = np.empty((n, n), dtype=float)
-    for start in range(0, n, _BLOCK):
-        stop = min(start + _BLOCK, n)
+    for start in range(0, n, _BAND):
+        stop = min(start + _BAND, n)
         delta = np.abs(angles[start:stop, None] - angles[None, :])
         if metric == "arc":
             out[start:stop] = np.minimum(delta, 2 * np.pi - delta)

@@ -160,12 +160,8 @@ def is_linear_robinson(
     """Whether the sequence is a compatible linear order of its points:
     d(x,z) >= max(d(x,y), d(y,z)) for every triple x < y < z along it
     (strict: >).  O(m^3)."""
-    _check_indices(linear_seq, D.n)
-    seq = np.asarray(linear_seq)
-    if np.unique(seq).size != seq.size:
-        raise ValueError("sequence has repeated indices")
-    # an empty sequence reads as a float array, which cannot index
-    margin = _lr_margin(D.values, *seq.astype(np.intp)[_subsets(seq.size, 3).T])
+    seq = _check_indices(linear_seq, D.n, distinct=True)
+    margin = _lr_margin(D.values, *seq[_subsets(seq.size, 3).T])
     return bool(_holds(margin, strict, _check_eps(eps)).all())
 
 

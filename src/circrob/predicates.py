@@ -58,11 +58,7 @@ def _qcr_margin(v: np.ndarray, x, y, z, t):
 def _points(q: Quadruple, n: int, strict: bool) -> Quadruple:
     """The quadruple; ValueError unless its points are indices in range(n),
     pairwise distinct when strict."""
-    q = Quadruple(*q)
-    _check_indices(q, n)
-    if strict and len(set(q)) != 4:
-        raise ValueError(f"strict condition needs pairwise-distinct points, got {tuple(q)}")
-    return q
+    return Quadruple(*_check_indices(Quadruple(*q), n, distinct=strict))
 
 
 def cr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:

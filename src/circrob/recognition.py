@@ -20,7 +20,7 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import _BAND, CircularOrder, DissimilarityMatrix, canonicalize
+from .core import _BAND, CircularOrder, DissimilarityMatrix, _check_indices, canonicalize
 from .predicates import _holds, _lr_margin, _qcr_margin
 from .verification import ClassificationReport, verify
 
@@ -95,15 +95,14 @@ def orders_agree(
     sensitive to the relative orientation of the two arcs; O(|X_N| + |X_F|)
     evaluations.  Trivially true when either side is a single point.
     """
-    xn = [int(p) for p in X_N]
-    xf = [int(p) for p in X_F]
-    if not xn or not xf:
+    xn, xf = _check_indices(X_N, D.n), _check_indices(X_F, D.n)
+    k, l = xn.size, xf.size
+    if not k or not l:
         raise ValueError("both parts must be nonempty")
-    if set(xn) & set(xf):
+    if np.intersect1d(xn, xf).size:
         raise ValueError("parts overlap")
-    if len(xn) + len(xf) != D.n or set(xn) | set(xf) != set(range(D.n)):
+    if k + l != D.n or np.unique(np.concatenate([xn, xf])).size != D.n:
         raise ValueError("parts must cover all points exactly once")
-    k, l = len(xn), len(xf)
     if k == 1 or l == 1:
         return True
 

@@ -43,7 +43,7 @@ eps = 0.  Any other block runs both rules in full.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple, Optional
 
@@ -105,13 +105,7 @@ class CrossingWitness:
     pattern: str  # "x<x'<y<y'" or "x<y'<y<x'"
 
     def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "x_prime": self.x_prime,
-            "y_prime": self.y_prime,
-            "pattern": self.pattern,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -350,9 +344,10 @@ def verify(
     module, stops at the first block of rows with a weak violation, with
     the witnesses the full scan gives.  A block whose rows all pass the
     strict rule skips both order-break rules, so a strictly unimodal order
-    costs about the same at eps > 0 as at eps = 0.  The quasi flags equal
-    the quadruple definitions at every eps, the circular flags at eps = 0
-    only: at eps > 0 the crossing rule on farthest arcs can differ from
+    costs about the same at eps > 0 as at eps = 0.  The quasi flags and the
+    strict circular flag equal the quadruple definitions at every eps, the
+    weak circular flag at eps = 0 only: at eps > 0 the crossing rule on
+    farthest arcs within eps of the row maximum can differ from
     pre-circular and circular by arcs.
     """
     order_arr = _check_order(D, order)

@@ -93,6 +93,8 @@ class TestLoadMatrix:
             load_matrix("2.0\n0 1\n1 0")
         with pytest.raises(MatrixFormatError, match="must be >= 1, got 0"):
             load_matrix("0\n")
+        with pytest.raises(MatrixFormatError, match="at least one point"):
+            DissimilarityMatrix(np.zeros((0, 0)))
         with pytest.raises(MatrixFormatError, match=r"expected 4 values .* got 5"):
             load_matrix("2\n0 1\n1 0 7")
 
@@ -417,6 +419,13 @@ class TestChainHolds:
     def test_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             chain_holds(canonicalize(range(4)), (0, 9))
+        with pytest.raises(ValueError, match="nonempty"):
+            chain_holds(canonicalize(range(4)), ())
+
+    def test_integer_array_points(self):
+        o = canonicalize((0, 3, 1, 4, 2))
+        for pts in ((0, 2, 4), (0, 4, 2), (3, 3, 4, 2)):
+            assert chain_holds(o, np.array(pts)) == chain_holds(o, pts)
 
     @given(st.data())
     def test_rotation_of_distinct_chain_agrees(self, data):
@@ -499,3 +508,18 @@ class TestFarthestSet:
             assert members
             assert all(D.values[x, y] == r for y in members)
             assert all(D.values[x, y] < r for y in range(n) if y != x and y not in members)
+
+
+def test_package_reexports_each_module_all():
+    # each module's __all__ is its public API; the package lists exactly their
+    # union, each name once, bound to the module's own object
+    import circrob
+    from circrob import core, generators, oracle, predicates, recognition, verification
+
+    modules = (core, generators, oracle, predicates, recognition, verification)
+    names = [name for module in modules for name in module.__all__]
+    assert sorted(circrob.__all__) == sorted(set(names)) == sorted(names)
+    assert len(names) == 39  # the public API: a name added or removed changes it
+    for module in modules:
+        for name in module.__all__:
+            assert getattr(circrob, name) is getattr(module, name)

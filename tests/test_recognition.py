@@ -94,6 +94,16 @@ class TestOrdersAgree:
     def test_non_cover_rejected(self, fixture4):
         with pytest.raises(ValueError, match="cover"):
             orders_agree(fixture4, (0, 1), (2,))
+        with pytest.raises(ValueError, match="nonempty"):
+            orders_agree(fixture4, (), (0, 1, 2, 3))
+
+    @pytest.mark.parametrize(
+        "X_N", [[0, 1.7, 2.2], np.array([0.0, 1.0, 2.0])], ids=["list", "ndarray"]
+    )
+    def test_non_integer_index_rejected(self, X_N):
+        # [0, 1.7, 2.2] would truncate to (0, 1, 2), which agrees with (3, 4, 5)
+        with pytest.raises(ValueError, match="not a sequence of indices"):
+            orders_agree(circle_instance(6, "arc"), X_N, [3, 4, 5])
 
     def test_rejects_wrong_composition_of_circle(self):
         # natural halves of the 6-circle, second half reversed: the straight
@@ -400,11 +410,13 @@ class TestStructureOfReturnedOrders:
     def _compatible_pairs(self, count, seed):
         rng = np.random.default_rng(seed)
         out = []
-        while len(out) < count:
-            D = mixed_small_space(rng, n_lo=4, n_hi=7)
-            s = compatible_orders(D, "strict-quasi")
-            for order in s.orders:
-                out.append((D, order))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", TieWarning)
+            while len(out) < count:
+                D = mixed_small_space(rng, n_lo=4, n_hi=7)
+                s = compatible_orders(D, "strict-quasi")
+                for order in s.orders:
+                    out.append((D, order))
         return out
 
     def test_distance_monotone_along_wings(self):

@@ -620,7 +620,8 @@ def _first_crossing(D, order, strict):
 class TestMidSizeDifferential:
     """verify against the quadruple definitions at n = 9..14: all four flags
     and the crossing witnesses at eps = 0, the quasi flags at eps > 0 too,
-    there also on a copy of the draw symmetric only within eps."""
+    there also on a copy of the draw symmetric only within eps, and the
+    strict circular flag at eps > 0."""
 
     MINIMUMS = {
         "quasi_not_circular": 20,
@@ -695,6 +696,39 @@ class TestMidSizeDifferential:
             seen["strict_not_circular"] += rep.strict_quasi and not rep.strict_circular
             seen["eps_changes_quasi"] += changed["quasi"]
             seen["eps_changes_strict"] += changed["strict_quasi"]
+
+    STRICT_MINIMUMS = {"strict_quasi": 300, "strict_circular": 200, "eps_changes_flag": 50}
+
+    def test_strict_circular_at_positive_eps(self):
+        # near-even chord circles, jittered and with small symmetric noise:
+        # on a strictly unimodal order the failing offsets of each row form
+        # an interval, so the strict crossing rule is exact at eps > 0 too
+        rng = np.random.default_rng(4242)
+        seen = dict.fromkeys(self.STRICT_MINIMUMS, 0)
+        drawn = 0
+        while any(seen[k] < m for k, m in self.STRICT_MINIMUMS.items()):
+            drawn += 1
+            assert drawn <= 2000, seen
+            n = int(rng.integers(9, 15))
+            jitter, scale = rng.uniform(0, 0.4), rng.uniform(0, 0.02)
+            angles = 2 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
+            noise = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
+            D = DissimilarityMatrix(
+                2 * np.sin(np.abs(angles[:, None] - angles[None, :]) / 2) + noise + noise.T
+            )
+            order = canonicalize(range(n))
+            at_zero = verify(D, order).strict_circular
+            for eps in (0.02, 0.05):
+                rep = verify(D, order, eps)
+                if not rep.strict_quasi:
+                    continue
+                assert rep.strict_circular == pre_circular_by_quadruples(D, order, True, eps), (
+                    D.values.tolist(),
+                    eps,
+                )
+                seen["strict_quasi"] += 1
+                seen["strict_circular"] += rep.strict_circular
+                seen["eps_changes_flag"] += rep.strict_circular != at_zero
 
 
 def _read(seq, p):
