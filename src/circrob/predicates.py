@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import DissimilarityMatrix, _check_indices
+from .core import DissimilarityMatrix, _check_eps, _check_indices
 
 __all__ = ["Quadruple", "cr", "scr", "qcr", "sqcr"]
 
@@ -63,19 +63,19 @@ def _points(q: Quadruple, n: int, strict: bool) -> Quadruple:
 
 def cr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(max(d(x,y), d(y,z)), max(d(x,t), d(t,z)))."""
-    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, False)), False, eps))
+    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, False)), False, _check_eps(eps)))
 
 
 def scr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`cr`; requires pairwise-distinct points."""
-    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, True)), True, eps))
+    return bool(_holds(_cr_margin(D.values, *_points(q, D.n, True)), True, _check_eps(eps)))
 
 
 def qcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """d(x,z) >= min(d(y,z), d(t,z))."""
-    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, False)), False, eps))
+    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, False)), False, _check_eps(eps)))
 
 
 def sqcr(D: DissimilarityMatrix, q: Quadruple, eps: float = 0.0) -> bool:
     """Strict version of :func:`qcr`; requires pairwise-distinct points."""
-    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, True)), True, eps))
+    return bool(_holds(_qcr_margin(D.values, *_points(q, D.n, True)), True, _check_eps(eps)))

@@ -20,7 +20,9 @@ from typing import Any, Optional, Sequence
 
 import numpy as np
 
-from .core import _BAND, CircularOrder, DissimilarityMatrix, _check_indices, canonicalize
+from .core import (
+    _BAND, CircularOrder, DissimilarityMatrix, _check_eps, _check_indices, canonicalize
+)
 from .predicates import _holds, _lr_margin, _qcr_margin
 from .verification import ClassificationReport, verify
 
@@ -95,7 +97,7 @@ def orders_agree(
     sensitive to the relative orientation of the two arcs; O(|X_N| + |X_F|)
     evaluations.  Trivially true when either side is a single point.
     """
-    xn, xf = _check_indices(X_N, D.n), _check_indices(X_F, D.n)
+    xn, xf, eps = _check_indices(X_N, D.n), _check_indices(X_F, D.n), _check_eps(eps)
     k, l = xn.size, xf.size
     if not k or not l:
         raise ValueError("both parts must be nonempty")
@@ -154,7 +156,7 @@ def _dist_sorted(
 
 def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
     """The one or two candidate orders; the first is the algorithm's pick."""
-    n = D.n
+    n, eps = D.n, _check_eps(eps)
     if n == 1:
         return [np.zeros(1, dtype=np.intp)]
     v = D.values
@@ -203,9 +205,9 @@ def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
 def find_compatible_order(D: DissimilarityMatrix, eps: float = 0.0) -> CircularOrder:
     """Construct a candidate circular order in O(n log n).
 
-    The result is compatible whenever the space is strictly quasi-circular or
-    strictly circular Robinson; otherwise it may be arbitrary and should be
-    checked with verify().
+    The result is strictly quasi compatible whenever the space is strictly
+    quasi-circular Robinson, else arbitrary: check it with verify().  Of two
+    such orders it may pick the one that is not strictly circular compatible.
     """
     return canonicalize(_candidates(D, eps)[0])
 
@@ -250,7 +252,7 @@ def bipartition_criterion(
     its own part's seed by more than eps, also in floats, as rounding is
     monotone and fl(a - b) = -fl(b - a).
     """
-    n = D.n
+    n, eps = D.n, _check_eps(eps)
     if n < 4:
         return None
     v = D.values

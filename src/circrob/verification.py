@@ -30,15 +30,16 @@ violation, which already holds both violations the full scan would report,
 and the crossing test then does not run.
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
-stay in cache.  A block's rows are reordered once into a buffer, each
-written twice end to end, so every circular row read is a window of its
-doubled row; the windows of a whole block are one slice of the buffer, with
-no index array.  Each block first takes one strict-accept check, at every
-eps: when every row of the block passes the strict rule, the arc ends come
-from each row's first argmax and its two neighbours, and neither the
-order-break rules nor the running maxima of the weak rule at eps > 0 run.
-So on an accepted order the scan costs about the same at eps > 0 as at
-eps = 0.  Any other block runs both rules in full.
+stay in cache.  A block's rows are gathered once, in position order, over
+the columns of the order written twice that their reads cover; each read
+starts one column after the one before, so the reads of a block are one
+strided view of the gather, with no index array and no copy.  Each block
+first takes one strict-accept check, at every eps: when every row of the
+block passes the strict rule, the arc ends come from each row's first
+argmax and its two neighbours, and neither the order-break rules nor the
+running maxima of the weak rule at eps > 0 run.  So on an accepted order
+the scan costs about the same at eps > 0 as at eps = 0.  Any other block
+runs both rules in full.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ __all__ = [
     "verify",
 ]
 
-# bytes of doubled rows per scan block: small enough to stay in cache
+# bytes of gathered rows per scan block: small enough to stay in cache
 _BLOCK_BYTES = 512 << 10
 
 
@@ -220,20 +221,16 @@ def _scan_rows(values: np.ndarray, order_arr: np.ndarray, eps: float) -> _RowSca
     weak = strict = None
     if n < 2:
         return _RowScan(S, E, weak, strict)
-    # A block's rows, reordered and written out twice, fill a (B, 2n) prefix
-    # of the buffer.  Row b's circular read starts at flat index
-    # b*2n + start + b + 1, so with a row stride of 2n + 1 the reads of the
-    # block are one (B, n-1) slice of the buffer: a view, not a copy.
-    B = min(n, max(1, _BLOCK_BYTES // (16 * n)))  # a doubled row is 16n bytes
-    buf = np.empty(B * (2 * n + 1) + n)
+    # Row b of a block reads positions start + b + 1 .. start + b + n - 1
+    # (mod n): columns b .. b + n - 2 of the gather g, so a row stride one
+    # entry longer than g's makes the reads of the block one view of g.
+    B = min(n, max(1, _BLOCK_BYTES // (16 * n)))  # a row is gathered twice: 16n bytes
+    cols = np.concatenate([order_arr, order_arr])
     for start in range(0, n, B):
         k = min(B, n - start)
         rows = order_arr[start : start + k]
-        reordered = values[rows].take(order_arr, axis=1)
-        doubled = buf[: k * 2 * n].reshape(k, 2 * n)
-        doubled[:, :n] = reordered
-        doubled[:, n:] = reordered
-        v = buf[start + 1 : start + 1 + k * (2 * n + 1)].reshape(k, 2 * n + 1)[:, : n - 1]
+        g = values[rows].take(cols[start + 1 : start + n + k - 1], axis=1)
+        v = np.ndarray((k, n - 1), g.dtype, g, 0, (g.strides[0] + g.itemsize, g.itemsize))
         w, s = _scan_block(v, eps, S[start : start + k], E[start : start + k])
         if strict is None and s is not None:
             strict = s._replace(row=int(rows[s.row]))

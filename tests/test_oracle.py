@@ -7,14 +7,18 @@ import pytest
 from circrob import (
     DissimilarityMatrix,
     Quadruple,
+    bipartition_criterion,
     canonicalize,
     circle_instance,
     circular_robinson_by_arcs,
+    compatible_orders,
     counterexample_fixture,
     cr,
     enumerate_circular_orders,
+    find_compatible_order,
     is_linear_robinson,
     oracle_classify,
+    orders_agree,
     perturb,
     pre_circular_by_quadruples,
     qcr,
@@ -266,6 +270,19 @@ def test_bad_eps_rejected(eps):
         lambda: circular_robinson_by_arcs(D, order, eps=eps),
         lambda: is_linear_robinson(D, (0, 1, 2), eps=eps),
         lambda: oracle_classify(D, eps=eps),
+    ]
+    # the predicates and the construction: on the chord hexagon, qcr of this
+    # quadruple is True at eps = 0 and sqcr False, and at eps = nan the
+    # construction's cut would be empty
+    D6, q = circle_instance(6, "chord"), Quadruple(0, 2, 1, 3)
+    checks += [lambda pred=pred: pred(D6, q, eps=eps) for pred in (cr, scr, qcr, sqcr)]
+    checks += [
+        lambda: compatible_orders(D6, eps=eps),
+        lambda: find_compatible_order(D6, eps=eps),
+        lambda: bipartition_criterion(D6, eps=eps),
+        # on the chord octagon these halves compose to a compatible order
+        # only in one orientation: at eps = 0 this one fails
+        lambda: orders_agree(circle_instance(8, "chord"), [0, 1, 2, 3], [7, 6, 5, 4], eps=eps),
     ]
     for check in checks:
         with pytest.raises(ValueError, match="finite number >= 0"):

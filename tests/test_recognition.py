@@ -20,7 +20,7 @@ from circrob import (
     verify,
 )
 from circrob.recognition import _cut, _j_mask
-from conftest import mixed_small_space, random_space
+from conftest import mixed_small_space, random_space, split_by_reversal
 
 
 def j_set(D, x, y):
@@ -459,13 +459,6 @@ class TestStructureOfReturnedOrders:
                     assert sum(g > 1 for g in gaps + [wrap]) <= 1
 
     def test_two_orders_differ_by_reversing_a_cluster(self):
-        # the theorem's structure: when two orders are compatible, both parts
-        # of the bipartition are arcs of both orders, and the second order is
-        # the first with one part reversed in place
-        def arc_start(seq, part):
-            starts = [i for i, p in enumerate(seq) if p in part and seq[i - 1] not in part]
-            return starts[0] if len(starts) == 1 else None
-
         rng = np.random.default_rng(2222)
         two = {0.0: 0, 0.05: 0}
         for _ in range(120):
@@ -480,14 +473,6 @@ class TestStructureOfReturnedOrders:
                 if len(s.orders) != 2:
                     continue
                 two[eps] += 1
-                N, F, _ = s.bipartition
-                assert 0 in N
-                for order in s.orders:
-                    assert arc_start(order.seq, N) is not None
-                    assert arc_start(order.seq, F) is not None
-                first, second = (list(o.seq) for o in s.orders)
-                i = arc_start(first, N)
-                first = first[i:] + first[:i]
-                flipped = first[: len(N)] + first[len(N) :][::-1]
-                assert canonicalize(flipped).seq == tuple(second)
+                assert 0 in s.bipartition[0]
+                assert split_by_reversal(s)
         assert min(two.values()) >= 50, two

@@ -1,4 +1,5 @@
 import json
+import warnings
 from itertools import combinations
 
 import numpy as np
@@ -11,25 +12,29 @@ from circrob import (
     ClassificationReport,
     DissimilarityMatrix,
     RowWitness,
+    TieWarning,
     canonicalize,
     circle_instance,
     circular_robinson_by_arcs,
+    compatible_orders,
     crossing_violation,
     enumerate_circular_orders,
     farthest_set,
+    find_compatible_order,
     is_linear_robinson,
     is_strictly_unimodal,
     is_unimodal,
     load_matrix,
     pre_circular_by_quadruples,
     quasi_circular_by_quadruples,
+    two_cluster_instance,
     verify,
 )
 from circrob import verification
 from circrob.core import _check_order
 from circrob.oracle import _position_tables
 from circrob.predicates import _holds, _qcr_margin
-from conftest import random_space
+from conftest import random_space, split_by_reversal
 
 LINE_D = DissimilarityMatrix([[0, 1, 3], [1, 0, 2], [3, 2, 0]])  # points 1, 2, 4 on a line
 
@@ -590,6 +595,15 @@ def _ellipse(rng, n):
     return v
 
 
+def _near_even_circle(rng, n):
+    # chord distances of points jittered off an even circle, plus small
+    # symmetric noise
+    jitter, scale = rng.uniform(0, 0.4), rng.uniform(0, 0.02)
+    angles = 2 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
+    noise = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
+    return 2 * np.sin(np.abs(angles[:, None] - angles[None, :]) / 2) + noise + noise.T
+
+
 def _first_crossing(D, order, strict):
     """First pair (x, y) in position order, then pattern, straight from
     farthest_set, pair by pair; x' and y' are the qualifying farthest
@@ -621,7 +635,8 @@ class TestMidSizeDifferential:
     """verify against the quadruple definitions at n = 9..14: all four flags
     and the crossing witnesses at eps = 0, the quasi flags at eps > 0 too,
     there also on a copy of the draw symmetric only within eps, and the
-    strict circular flag at eps > 0."""
+    strict circular flag at eps > 0; then, at n = 9..60, the construction
+    against verify on planted orders."""
 
     MINIMUMS = {
         "quasi_not_circular": 20,
@@ -710,12 +725,7 @@ class TestMidSizeDifferential:
             drawn += 1
             assert drawn <= 2000, seen
             n = int(rng.integers(9, 15))
-            jitter, scale = rng.uniform(0, 0.4), rng.uniform(0, 0.02)
-            angles = 2 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
-            noise = np.triu(rng.uniform(-scale, scale, (n, n)), 1)
-            D = DissimilarityMatrix(
-                2 * np.sin(np.abs(angles[:, None] - angles[None, :]) / 2) + noise + noise.T
-            )
+            D = DissimilarityMatrix(_near_even_circle(rng, n))
             order = canonicalize(range(n))
             at_zero = verify(D, order).strict_circular
             for eps in (0.02, 0.05):
@@ -729,6 +739,61 @@ class TestMidSizeDifferential:
                 seen["strict_quasi"] += 1
                 seen["strict_circular"] += rep.strict_circular
                 seen["eps_changes_flag"] += rep.strict_circular != at_zero
+
+    COMPLETE_MINIMUMS = {
+        "strict_quasi": 150,
+        "strict_quasi_at_eps": 30,
+        "strict_circular_at_eps": 20,
+        "strict_quasi_not_circular": 10,
+        "two_orders": 60,
+        "pick_checked": 120,
+    }
+
+    def test_construction_finds_planted_orders(self):
+        # completeness beyond the oracle's n <= 8: an order planted on
+        # shuffled labels that verify accepts for a strict class is among
+        # the orders compatible_orders keeps for it, at eps = 0 the
+        # construction's pick is one of the strict quasi orders, and two
+        # orders come back only split by their bipartition
+        rng = np.random.default_rng(60606)
+        seen = dict.fromkeys(self.COMPLETE_MINIMUMS, 0)
+        drawn = 0
+        while any(seen[k] < m for k, m in self.COMPLETE_MINIMUMS.items()):
+            drawn += 1
+            assert drawn <= 1000, seen
+            n, kind = int(rng.integers(9, 61)), int(rng.integers(3))
+            if kind == 0:
+                values = _near_even_circle(rng, n)
+            elif kind == 1:
+                # scaled up, many two-cluster spaces stay strict at eps > 0
+                k, seed = int(rng.integers(2, n - 1)), int(rng.integers(1 << 30))
+                values = 1000 * two_cluster_instance(k, n - k, seed=seed).values
+            else:
+                values = _ellipse(rng, n)
+            perm = rng.permutation(n)
+            D = DissimilarityMatrix(values[np.ix_(perm, perm)])
+            planted = canonicalize(np.argsort(perm).tolist())
+            for eps in (0.0, 0.02, 0.05):
+                rep = verify(D, planted, eps)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", TieWarning)
+                    quasi = compatible_orders(D, "strict-quasi", eps)
+                    circular = compatible_orders(D, "strict-circular", eps)
+                    pick = find_compatible_order(D) if eps == 0.0 else None
+                case = (values.tolist(), perm.tolist(), eps)
+                for accepted, s in ((rep.strict_quasi, quasi), (rep.strict_circular, circular)):
+                    if accepted:
+                        assert planted in s.orders, case
+                    if len(s.orders) == 2:
+                        assert split_by_reversal(s), case
+                        seen["two_orders"] += 1
+                if pick is not None and quasi.orders:
+                    assert pick in quasi.orders, case
+                    seen["pick_checked"] += 1
+                seen["strict_quasi"] += rep.strict_quasi
+                seen["strict_quasi_at_eps"] += bool(eps) and rep.strict_quasi
+                seen["strict_circular_at_eps"] += bool(eps) and rep.strict_circular
+                seen["strict_quasi_not_circular"] += rep.strict_quasi and not rep.strict_circular
 
 
 def _read(seq, p):
@@ -792,8 +857,9 @@ class TestRowScan:
     MINIMUMS = {"weak_ok": 50, "strict_ok": 20, "weak_bad": 50, "narrow_bad": 50, "wide_bad": 50}
 
     def test_matches_per_row_reference(self, monkeypatch):
-        # blocks of 1 row, 3 rows and the whole matrix: row windows cross the
-        # seam of the doubled buffer, and the last block is often partial
+        # blocks of 1 row, 3 rows and the whole matrix: a block's column
+        # window wraps past the end of the order, and the last block is
+        # often partial
         rng = np.random.default_rng(8128)
         seen = dict.fromkeys(self.MINIMUMS, 0)
         for _ in range(400):
@@ -846,9 +912,10 @@ class TestRowScan:
         assert all(seen[k] >= m for k, m in self.MINIMUMS.items()), seen
 
     def test_verify_peak_memory_at_n_4000(self):
-        # the scan holds one block buffer of _BLOCK_BYTES and its masks, the
-        # crossing test a few key arrays of 2n entries (~64 KiB each);
-        # (64, n-1) index arrays and gathered blocks would not fit
+        # the scan holds one gathered block of about _BLOCK_BYTES and its
+        # masks, the crossing test a few key arrays of 2n entries (~64 KiB
+        # each); (64, n-1) index arrays, or the whole gathered matrix, would
+        # not fit
         import tracemalloc
 
         from circrob import circle_instance
