@@ -19,7 +19,15 @@ orders[b, q]), an (n, n, B) array the tables index directly; each margin is
 evaluated once on w and reduced over the tables.  The arc rule counts the
 failing triples inside each arc with one float32 product of the mask and
 the failing triples: an arc with a count > 0 is broken.
-``oracle_classify`` sweeps every canonical order in blocks of _BLOCK.
+``oracle_classify`` sweeps every canonical order in blocks of _BLOCK, in two
+stages on one gather: the weak qcr margin on every order, then the six
+definitions on the orders that pass; the rest fail all six.  This is exact in
+floats: strict implies weak (margin > eps >= -eps); the cr margin is at most
+the qcr one, as max(d(x,y), d(y,z)) >= d(y,z) >= min(d(y,z), d(t,z)) and
+rounding of d(x,z) - b is monotone in b; arcs imply cr, as on a chain
+x < y < z < t the arc x -> z holds y, the arc z -> x holds t, and on the
+exactly symmetric matrix lr(z,t,x) = lr(x,t,z).  The single-order sweeps stay
+exhaustive: tests compare them as independent references.
 Degenerate chains (with coincident points) hold trivially for the non-strict
 conditions and the strict ones are defined on distinct points only, so only
 distinct positions are tabled.  eps applies to each compared pair.
@@ -113,15 +121,20 @@ def _position_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return tables
 
 
-def _flags(v: np.ndarray, orders: np.ndarray, eps: float) -> np.ndarray:
-    """(6, B) flags of a block of orders (B, n), rows in the field order of
-    OracleClassification: each notion weak, then strict."""
-    quads, triples, arcs = _position_tables(orders.shape[1])
+def _gather(v: np.ndarray, orders: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A block of orders (B, n) in position space, w[p, q, b] = d(orders[b, p],
+    orders[b, q]), which the tables index, and its qcr margin (Q, B)."""
     points = orders.T
-    # w[p, q, b] = d(orders[b, p], orders[b, q]): the tables index positions
     w = v[points[:, None], points[None, :]]
+    return w, _qcr_margin(w, *_position_tables(orders.shape[1])[0])
+
+
+def _flags(w: np.ndarray, qcr: np.ndarray, eps: float) -> np.ndarray:
+    """(6, B) flags of a block from _gather, rows in the field order of
+    OracleClassification: each notion weak, then strict."""
+    quads, triples, arcs = _position_tables(w.shape[0])
     out = []
-    for margin in (_cr_margin(w, *quads), _qcr_margin(w, *quads)):
+    for margin in (_cr_margin(w, *quads), qcr):
         out += [_holds(margin, strict, eps).all(axis=0) for strict in (False, True)]
     # an arc is broken when it holds a failing triple; the arc rule fails
     # when both arcs of some pair are.  The float32 product counts an arc's
@@ -130,13 +143,13 @@ def _flags(v: np.ndarray, orders: np.ndarray, eps: float) -> np.ndarray:
     inside = arcs.astype(np.float32)
     for strict in (False, True):
         failing = ~_holds(linear, strict, eps)
-        broken = (inside @ failing.astype(np.float32) > 0).reshape(-1, 2, orders.shape[0])
+        broken = (inside @ failing.astype(np.float32) > 0).reshape(-1, 2, w.shape[2])
         out.append(~broken.all(axis=1).any(axis=0))
     return np.array(out)
 
 
 def _one_order(D: DissimilarityMatrix, order: CircularOrder, eps: float) -> np.ndarray:
-    return _flags(D.values, _check_order(D, order)[None], _check_eps(eps))[:, 0]
+    return _flags(*_gather(D.values, _check_order(D, order)[None]), _check_eps(eps))[:, 0]
 
 
 def enumerate_circular_orders(n: int) -> Iterator[CircularOrder]:
@@ -211,10 +224,12 @@ def oracle_classify(D: DissimilarityMatrix, eps: float = 0.0) -> OracleClassific
         raise ValueError(f"oracle classification is capped at n <= {MAX_CLASSIFY_N}")
     eps = _check_eps(eps)
     table = _classify_table(D.n)
-    flags = np.concatenate(
-        [_flags(D.values, table[s : s + _BLOCK], eps) for s in range(0, len(table), _BLOCK)],
-        axis=1,
-    )
+    flags = np.zeros((6, len(table)), bool)
+    for s in range(0, len(table), _BLOCK):
+        w, qcr = _gather(D.values, table[s : s + _BLOCK])
+        keep = np.flatnonzero(_holds(qcr, False, eps).all(axis=0))
+        if keep.size:
+            flags[:, s + keep] = _flags(w[..., keep], qcr[:, keep], eps)
     return OracleClassification(
         *(tuple(CircularOrder(tuple(row)) for row in table[f].tolist()) for f in flags)
     )

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from circrob import load_matrix
+from circrob import load_matrix, oracle_classify
 from circrob.cli import main
 
 FIXTURE_TEXT = "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
@@ -51,8 +51,19 @@ class TestRecognize:
     def test_equilateral_not_strict(self, equilateral_file):
         assert main(["recognize", "--input", equilateral_file, "--class", "strict-quasi"]) == 1
 
-    def test_nonstrict_class_via_oracle(self, equilateral_file):
-        assert main(["recognize", "--input", equilateral_file, "--class", "quasi"]) == 0
+    @pytest.mark.parametrize("cls", ["quasi", "circular"])
+    @pytest.mark.parametrize("text", [FIXTURE_TEXT, EQUILATERAL_TEXT], ids=["fixture", "equilateral"])
+    def test_nonstrict_class_via_oracle(self, cls, text, tmp_path, capsys):
+        path = tmp_path / "D.txt"
+        path.write_text(text)
+        assert main(["recognize", "--input", str(path), "--class", cls, "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        oc = oracle_classify(load_matrix(text))
+        orders = oc.quasi_circular if cls == "quasi" else oc.circular_by_arcs
+        assert payload == {"class": cls, "holds": True, "orders": [list(o.seq) for o in orders]}
+        if text == FIXTURE_TEXT:
+            expected = {"quasi": [[0, 1, 2, 3], [0, 1, 3, 2]], "circular": [[0, 1, 3, 2]]}
+            assert payload["orders"] == expected[cls]
 
     def test_nonstrict_class_too_big(self, big_file, capsys):
         assert main(["recognize", "--input", big_file, "--class", "circular"]) == 2

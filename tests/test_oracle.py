@@ -25,8 +25,9 @@ from circrob import (
     quasi_circular_by_quadruples,
     scr,
     sqcr,
+    two_cluster_instance,
 )
-from circrob.oracle import _classify_table, _position_tables
+from circrob.oracle import _classify_table, _flags, _position_tables
 from conftest import mixed_small_space, random_space
 
 
@@ -120,6 +121,29 @@ class TestOracleClassify:
         D = random_space(9, rng)
         with pytest.raises(ValueError, match="capped"):
             oracle_classify(D)
+
+    @pytest.mark.parametrize(
+        "D, survivors",
+        [
+            (circle_instance(8, "chord"), 1),
+            (two_cluster_instance(4, 4), 2),
+            (DissimilarityMatrix(1 - np.eye(8)), 2520),
+        ],
+        ids=["chord-circle", "two-cluster", "all-equal"],
+    )
+    def test_six_definitions_sweep_only_weak_qcr_orders(self, monkeypatch, D, survivors):
+        # every definition implies weak qcr, so only the orders that pass it
+        # reach the six-definition sweep
+        swept = []
+
+        def counted(*args):
+            flags = _flags(*args)
+            swept.append(flags.shape[1])
+            return flags
+
+        monkeypatch.setattr("circrob.oracle._flags", counted)
+        oc = oracle_classify(D)
+        assert sum(swept) == len(oc.quasi_circular) == survivors
 
     def test_json_roundtrip(self, fixture4):
         import json
@@ -221,10 +245,13 @@ class TestPositionTables:
     @pytest.mark.parametrize("n", [5, 6])
     def test_classify_matches_scalar_predicates(self, n):
         # whole blocks of orders against a per-order loop: 12 and 60 orders,
-        # so the last block is partial
+        # so the last block is partial.  Every order of the all-equal space
+        # passes the weak qcr prune and none the strict one; at eps = 0 the
+        # two clusters have 2 quasi-circular orders but 1 pre-circular one
         rng = np.random.default_rng(2718 + n)
         orders = list(enumerate_circular_orders(n))
         cases = [circle_instance(n, "arc"), perturb(circle_instance(n, "chord"), 0.02, seed=n)]
+        cases += [DissimilarityMatrix(1 - np.eye(n)), two_cluster_instance(n // 2, n - n // 2)]
         cases += [mixed_small_space(rng, n_lo=n, n_hi=n) for _ in range(4)]
         found = 0
         for D in cases:
