@@ -1,7 +1,8 @@
 """Command-line interface: recognize, verify, oracle, generate.
 
 Exit codes: 0 when the requested property holds, 1 when it does not, 2 on
-input or usage errors.
+input or usage errors.  The commands raise on bad input; `main` is where such
+an error becomes one `error:` line on stderr and exit code 2.
 """
 
 from __future__ import annotations
@@ -10,26 +11,17 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
 from .core import (
-    DissimilarityMatrix,
-    MatrixFormatError,
-    _check_eps,
-    canonicalize,
-    load_matrix,
+    DissimilarityMatrix, MatrixFormatError, _check_eps, canonicalize, load_matrix
 )
 from .generators import (
-    GenerationError,
-    GeneratorSpec,
-    circle_instance,
-    counterexample_fixture,
-    perturb,
+    GenerationError, GeneratorSpec, circle_instance, counterexample_fixture, perturb,
     two_cluster_instance,
 )
-from .oracle import MAX_CLASSIFY_N, oracle_classify
+from .oracle import oracle_classify
 from .recognition import compatible_orders
 from .verification import verify
 
@@ -69,43 +61,24 @@ def _read_npy(path: str) -> np.ndarray:
     raise MatrixFormatError("a .npy matrix must hold one array of real numbers")
 
 
-def _load(path: str, eps: float) -> Optional[DissimilarityMatrix]:
-    """The matrix in the file (a .npy array, or text in format A, B or CSV),
-    or None after printing why it cannot be read; the caller then exits
-    with 2."""
-    try:
-        if path.endswith(".npy"):
-            return DissimilarityMatrix._adopt(_read_npy(path), eps=eps)
-        with open(path) as fh:
-            return load_matrix(fh, eps=eps)
-    except (OSError, UnicodeDecodeError, MatrixFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None
+def _load(args) -> DissimilarityMatrix:
+    """The matrix in --input (a .npy array, or text in format A, B or CSV),
+    read with --epsilon."""
+    if args.input.endswith(".npy"):
+        return DissimilarityMatrix._adopt(_read_npy(args.input), eps=args.epsilon)
+    with open(args.input) as fh:
+        return load_matrix(fh, eps=args.epsilon)
 
 
 def _cmd_recognize(args) -> int:
-    D = _load(args.input, args.epsilon)
-    if D is None:
-        return 2
-
+    D = _load(args)
     if args.cls in ("quasi", "circular"):
-        # no construction algorithm exists for the non-strict classes; fall
-        # back to exhaustive search when it is feasible
-        if D.n > MAX_CLASSIFY_N:
-            print(
-                f"error: non-strict recognition is only available through the"
-                f" exhaustive oracle (n <= {MAX_CLASSIFY_N}); got n={D.n}",
-                file=sys.stderr,
-            )
-            return 2
+        # no construction algorithm exists for the non-strict classes: the
+        # exhaustive oracle answers them, up to its cap
         cls = oracle_classify(D, eps=args.epsilon)
         orders = cls.quasi_circular if args.cls == "quasi" else cls.circular_by_arcs
         holds = len(orders) > 0
-        payload = {
-            "class": args.cls,
-            "holds": holds,
-            "orders": [list(o.seq) for o in orders],
-        }
+        payload = {"class": args.cls, "holds": holds, "orders": [list(o.seq) for o in orders]}
         _print(
             payload,
             args.json,
@@ -143,15 +116,9 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    D = _load(args.input, args.epsilon)
-    if D is None:
-        return 2
-    try:
-        order = canonicalize([int(t) for t in args.order.replace(",", " ").split()])
-        report = verify(D, order, eps=args.epsilon)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    D = _load(args)
+    order = canonicalize([int(t) for t in args.order.replace(",", " ").split()])
+    report = verify(D, order, eps=args.epsilon)
     payload = report.to_json_dict()
     payload["order"] = list(order.seq)
     _print(
@@ -169,13 +136,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    D = _load(args.input, args.epsilon)
-    if D is None:
-        return 2
-    if D.n > MAX_CLASSIFY_N:
-        print(f"error: oracle is capped at n <= {MAX_CLASSIFY_N}; got n={D.n}", file=sys.stderr)
-        return 2
-    cls = oracle_classify(D, eps=args.epsilon)
+    cls = oracle_classify(_load(args), eps=args.epsilon)
     payload = cls.to_json_dict()
     lines = [
         f"{name}: " + (" | ".join(_fmt_order(o) for o in orders) or "(none)")
@@ -201,35 +162,25 @@ def _write_matrix(D: DissimilarityMatrix, out: Path) -> None:
 
 def _cmd_generate(args) -> int:
     params: dict = {}
-    try:
-        if args.kind == "fixture":
-            D = counterexample_fixture()
-        elif args.kind in ("circle-arc", "circle-chord"):
-            D = circle_instance(args.n, args.kind.split("-")[1])
-        elif args.kind == "two-cluster":
-            k = args.k if args.k is not None else args.n // 2
-            l = args.l if args.l is not None else args.n - args.n // 2
-            params = {"k": k, "l": l}
-            D = two_cluster_instance(k, l, seed=args.seed)
-        elif args.kind == "perturbed":
-            D = perturb(circle_instance(args.n, "chord"), args.epsilon, seed=args.seed)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ValueError(f"unknown kind {args.kind}")
-    except (ValueError, GenerationError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.kind == "fixture":
+        D = counterexample_fixture()
+    elif args.kind in ("circle-arc", "circle-chord"):
+        D = circle_instance(args.n, args.kind.split("-")[1])
+    elif args.kind == "two-cluster":
+        k = args.k if args.k is not None else args.n // 2
+        l = args.l if args.l is not None else args.n - args.n // 2
+        params = {"k": k, "l": l}
+        D = two_cluster_instance(k, l, seed=args.seed)
+    else:  # perturbed
+        D = perturb(circle_instance(args.n, "chord"), args.epsilon, seed=args.seed)
     spec = GeneratorSpec(
         kind=args.kind, n=D.n, seed=args.seed, epsilon=args.epsilon, params=params
     )
     out = Path(args.output)
-    try:
-        _write_matrix(D, out)
-        out.with_suffix(out.suffix + ".json").write_text(
-            json.dumps(spec.to_json_dict(), indent=2) + "\n"
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    _write_matrix(D, out)
+    out.with_suffix(out.suffix + ".json").write_text(
+        json.dumps(spec.to_json_dict(), indent=2) + "\n"
+    )
     print(f"wrote n={D.n} matrix to {out}")
     return 0
 
@@ -240,26 +191,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Recognize and verify circular Robinson dissimilarity spaces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    matrix = argparse.ArgumentParser(add_help=False)
+    matrix.add_argument("--input", required=True, help="matrix file (format A, B, CSV, or .npy)")
+    matrix.add_argument("--epsilon", type=_tolerance, default=0.0)
+    matrix.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("recognize", help="construct and check compatible orders")
-    p.add_argument("--input", required=True, help="matrix file (format A, B, CSV, or .npy)")
-    p.add_argument("--class", dest="cls", choices=_CLASSES, default="strict-quasi")
-    p.add_argument("--epsilon", type=_tolerance, default=0.0)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("recognize", parents=[matrix], help="construct and check compatible orders")
+    p.add_argument(
+        "--class",
+        dest="cls",
+        choices=_CLASSES,
+        default="strict-quasi",
+        help="quasi and circular go through the exhaustive oracle (n <= 8)",
+    )
     p.set_defaults(func=_cmd_recognize)
 
-    p = sub.add_parser("verify", help="check one explicit order")
-    p.add_argument("--input", required=True)
+    p = sub.add_parser("verify", parents=[matrix], help="check one explicit order")
     p.add_argument("--order", required=True, help="comma-separated indices")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="quasi")
-    p.add_argument("--epsilon", type=_tolerance, default=0.0)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("oracle", help="exhaustive classification for small n")
-    p.add_argument("--input", required=True)
-    p.add_argument("--epsilon", type=_tolerance, default=0.0)
-    p.add_argument("--json", action="store_true")
+    p = sub.add_parser("oracle", parents=[matrix], help="exhaustive classification for small n")
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("generate", help="emit a test instance")
@@ -281,7 +233,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, ValueError, GenerationError, MemoryError) as exc:
+        # ValueError covers MatrixFormatError and UnicodeDecodeError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -221,7 +221,7 @@ class OracleClassification:
 def oracle_classify(D: DissimilarityMatrix, eps: float = 0.0) -> OracleClassification:
     """Classify against all six definitions by sweeping every canonical order."""
     if D.n > MAX_CLASSIFY_N:
-        raise ValueError(f"oracle classification is capped at n <= {MAX_CLASSIFY_N}")
+        raise ValueError(f"oracle classification is capped at n <= {MAX_CLASSIFY_N}, got n={D.n}")
     eps = _check_eps(eps)
     table = _classify_table(D.n)
     flags = np.zeros((6, len(table)), bool)
@@ -230,6 +230,9 @@ def oracle_classify(D: DissimilarityMatrix, eps: float = 0.0) -> OracleClassific
         keep = np.flatnonzero(_holds(qcr, False, eps).all(axis=0))
         if keep.size:
             flags[:, s + keep] = _flags(w[..., keep], qcr[:, keep], eps)
+    # every definition implies weak qcr (row 2): build each result order once
+    weak = np.flatnonzero(flags[2])
+    built = {i: CircularOrder(tuple(row)) for i, row in zip(weak.tolist(), table[weak].tolist())}
     return OracleClassification(
-        *(tuple(CircularOrder(tuple(row)) for row in table[f].tolist()) for f in flags)
+        *(tuple(built[i] for i in np.flatnonzero(f).tolist()) for f in flags)
     )

@@ -128,30 +128,21 @@ def orders_agree(
     )
 
 
-def _dist_sorted(
-    points: np.ndarray,
-    key: np.ndarray,
-    descending: bool = False,
-    force_last: Optional[int] = None,
-) -> np.ndarray:
-    """Stable sort of `points` by key value then index; `force_last` moves
-    that point behind its exact-tie group (it is the far arc extremity)."""
+def _dist_sorted(points: np.ndarray, key: np.ndarray, descending: bool = False) -> np.ndarray:
+    """Stable sort of `points` by key value then index, with a TieWarning
+    when two keys are equal."""
     if points.size <= 1:
         return points
     k = key[points]
-    last = points == force_last
-    srt = np.lexsort((points, last, -k if descending else k))
-    out = points[srt]
+    srt = np.lexsort((points, -k if descending else k))
     ks = k[srt]
-    fl = last[srt]
-    eq = (ks[1:] == ks[:-1]) & ~(fl[1:] | fl[:-1])
-    if eq.any():
+    if (ks[1:] == ks[:-1]).any():
         warnings.warn(
             "equal distance keys while ordering points; instance may not be strict",
             TieWarning,
             stacklevel=4,  # the caller of compatible_orders / find_compatible_order
         )
-    return out
+    return points[srt]
 
 
 def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
@@ -169,7 +160,8 @@ def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
     if meet.any():
         y = int(np.flatnonzero(meet)[0])
         x1_mask = _j_mask(v, x, y, eps) | _j_mask(v, y, x_prime, eps)
-        part1 = _dist_sorted(idx[x1_mask], dN, force_last=x_prime)
+        # x' is farthest from x: it ends the arc, behind any tie with it
+        part1 = np.append(_dist_sorted(idx[x1_mask & (idx != x_prime)], dN), x_prime)
         part2 = _dist_sorted(idx[~x1_mask], dN, descending=True)
         return [np.concatenate([part1, part2])]
 
@@ -179,8 +171,8 @@ def _candidates(D: DissimilarityMatrix, eps: float = 0.0) -> list[np.ndarray]:
     f_idx = idx[f_part]
     z = int(n_idx[np.argmax(dN[n_idx])])
     y = int(f_idx[np.argmax(dF[f_idx])])
-    np_mask = (idx == x) if z == x else (_j_mask(v, x, z, eps) & n_part)
-    fp_mask = (idx == x_prime) if y == x_prime else (_j_mask(v, x_prime, y, eps) & f_part)
+    np_mask = _j_mask(v, x, z, eps) & n_part
+    fp_mask = _j_mask(v, x_prime, y, eps) & f_part
     # Each half is traversed wing-desc, center, wing-asc so that distances to
     # the center rise away from it on both sides.
     xn = np.concatenate(

@@ -10,6 +10,8 @@ from circrob.cli import main
 
 FIXTURE_TEXT = "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
 EQUILATERAL_TEXT = "4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
+# the oracle's own message, through recognize and oracle alike
+CAP_ERROR = "error: oracle classification is capped at n <= 8, got n=9\n"
 
 
 @pytest.fixture
@@ -67,7 +69,7 @@ class TestRecognize:
 
     def test_nonstrict_class_too_big(self, big_file, capsys):
         assert main(["recognize", "--input", big_file, "--class", "circular"]) == 2
-        assert "n <= 8" in capsys.readouterr().err
+        assert capsys.readouterr().err == CAP_ERROR
 
     def test_missing_file(self):
         assert main(["recognize", "--input", "/nonexistent/x.txt"]) == 2
@@ -231,6 +233,14 @@ class TestInputErrors:
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
         assert not out.exists()
 
+    def test_generation_error(self, tmp_path, capsys, monkeypatch):
+        # with no attempt left, two_cluster_instance raises GenerationError
+        monkeypatch.setattr("circrob.generators._TWO_CLUSTER_RETRIES", 0)
+        out = tmp_path / "t.txt"
+        assert main(["generate", "--kind", "two-cluster", "--n", "8", "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: no valid two-cluster instance")
+        assert not out.exists()
+
 
 class TestVerify:
     def test_natural_order_flags(self, fixture_file, capsys):
@@ -284,7 +294,7 @@ class TestOracle:
 
     def test_cap(self, big_file, capsys):
         assert main(["oracle", "--input", big_file]) == 2
-        assert "n <= 8" in capsys.readouterr().err
+        assert capsys.readouterr().err == CAP_ERROR
 
 
 class TestGenerate:

@@ -189,27 +189,30 @@ class TestFindCompatibleOrder:
 
 
 class TestDistSorted:
-    # the far arc extremity goes behind its exact-tie group, and a tie with it
-    # alone does not warn
-    def test_force_last_behind_its_tie_group(self):
+    # a stable sort by key, then index, warning on equal keys; the far arc
+    # extremity x' is appended by the construction itself, which
+    # test_odd_circle_with_farthest_pair_tie covers
+    def test_ties_by_index_and_warned(self):
         from circrob.recognition import _dist_sorted
 
         pts = np.arange(6)
         key = np.array([1.0, 1.0, 0.5, 1.0, 3.0, 2.0])
         with pytest.warns(TieWarning):
-            assert _dist_sorted(pts, key, force_last=0).tolist() == [2, 1, 3, 0, 5, 4]
+            assert _dist_sorted(pts, key).tolist() == [2, 0, 1, 3, 5, 4]
         with pytest.warns(TieWarning):
-            out = _dist_sorted(pts, key, descending=True, force_last=0)
-        assert out.tolist() == [4, 5, 1, 3, 0, 2]
+            out = _dist_sorted(pts, key, descending=True)
+        assert out.tolist() == [4, 5, 0, 1, 3, 2]
 
-    def test_tie_with_force_last_only_is_silent(self):
+    def test_distinct_keys_are_silent(self):
         from circrob.recognition import _dist_sorted
 
-        key = np.array([1.0, 1.0, 0.5, 2.0])
+        key = np.array([1.0, 1.5, 0.5, 2.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert _dist_sorted(np.arange(4), key, force_last=0).tolist() == [2, 1, 0, 3]
-            assert _dist_sorted(np.array([1, 2, 3]), key, force_last=0).tolist() == [2, 1, 3]
+            assert _dist_sorted(np.arange(4), key).tolist() == [2, 0, 1, 3]
+            out = _dist_sorted(np.array([1, 2, 3]), key, descending=True)
+            assert out.tolist() == [3, 1, 2]
+            assert _dist_sorted(np.array([3]), np.ones(4)).tolist() == [3]
 
 
 class TestCompatibleOrders:

@@ -1,6 +1,6 @@
 """Time the row scan and `verify` of two circrob source trees side by side.
 
-    python3 tools/scan_sweep.py --before <old checkout>/src --after src --out BENCH_18.json
+    python3 tools/scan_sweep.py --before <old checkout>/src --after src --out BENCH_<pr>.json
 
 For each n in --sizes (default SIZES), an evenly spaced chord circle of n
 points is built with identity labels and with shuffled ones, and its
