@@ -2,7 +2,8 @@
 
 Exit codes: 0 when the requested property holds, 1 when it does not, 2 on
 input or usage errors.  The commands raise on bad input; `main` is where such
-an error becomes one `error:` line on stderr and exit code 2.
+an error becomes one `error:` line on stderr and exit code 2, and a warning
+(a TieWarning on tied distances) one `warning:` line.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +48,23 @@ def _tolerance(text: str) -> float:
         return _check_eps(float(text))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _indices(text: str) -> list[int]:
+    """The --order of verify: integers separated by commas or spaces."""
+    out = []
+    for token in text.replace(",", " ").split():
+        try:
+            out.append(int(token))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {token!r}") from None
+    return out
+
+
+def _warning_line(message, category, filename, lineno, file=None, line=None) -> None:
+    """Show a warning as one `warning:` line on stderr, without the source
+    location and line that Python's format adds."""
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _read_npy(path: str) -> np.ndarray:
@@ -117,7 +136,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_verify(args) -> int:
     D = _load(args)
-    order = canonicalize([int(t) for t in args.order.replace(",", " ").split()])
+    order = canonicalize(args.order)
     report = verify(D, order, eps=args.epsilon)
     payload = report.to_json_dict()
     payload["order"] = list(order.seq)
@@ -207,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_recognize)
 
     p = sub.add_parser("verify", parents=[matrix], help="check one explicit order")
-    p.add_argument("--order", required=True, help="comma-separated indices")
+    p.add_argument("--order", type=_indices, required=True, help="comma-separated indices")
     p.add_argument("--class", dest="cls", choices=_CLASSES, default="quasi")
     p.set_defaults(func=_cmd_verify)
 
@@ -233,12 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (OSError, ValueError, GenerationError, MemoryError) as exc:
-        # ValueError covers MatrixFormatError and UnicodeDecodeError
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    with warnings.catch_warnings():
+        warnings.showwarning = _warning_line
+        try:
+            return args.func(args)
+        except (OSError, ValueError, GenerationError, MemoryError) as exc:
+            # ValueError covers MatrixFormatError and UnicodeDecodeError
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -24,7 +24,9 @@ from .core import (
     _BAND, CircularOrder, DissimilarityMatrix, _check_eps, _check_indices, canonicalize
 )
 from .predicates import _holds, _lr_margin, _qcr_margin
-from .verification import ClassificationReport, verify
+from .verification import (
+    ClassificationReport, _report_from_scan, _RowScan, _scan_rows, verify
+)
 
 __all__ = [
     "TieWarning",
@@ -210,24 +212,69 @@ def compatible_orders(
     """All compatible canonical orders for the requested strict notion.
 
     Runs the construction, also tries the alternative composition when the
-    equidistant set was empty, verifies each distinct candidate once in
-    O(n^2), and keeps exactly the ones that pass.  Empty result means the
-    space is not strictly (quasi-)circular Robinson.
+    equidistant set was empty, reports on each distinct candidate once, and
+    keeps exactly the ones that pass.  Empty result means the space is not
+    strictly (quasi-)circular Robinson.
+
+    The first candidate's report comes from one O(n^2) row scan.  With two
+    candidates, the second is the first with the part F of the cut reversed.
+    When the first passes the strict quasi rule and bipartition_criterion
+    finds the threshold split (N, F, delta), the second report follows from
+    that scan in O(n): every cross value exceeds delta by more than eps, so
+    each row's plateau within eps of its maximum lies in the block of the
+    other part, and each part's reads in the second order are those of the
+    first, one block reversed or moved whole.  So both candidates have the
+    same (true) quasi flags, and each point's farthest arc ends at the same
+    two points, at their offsets in the second order's read; the crossing
+    tests on those ends give its circular flags and witnesses.  In every
+    other case (one candidate, a first candidate that fails strict quasi, or
+    no split) the second candidate gets its own verify scan.
     """
     if strictness not in (STRICT_QUASI, STRICT_CIRCULAR):
         raise ValueError(f"unknown strictness {strictness!r}")
-    flag = strictness.replace("-", "_")
+    flag, eps = strictness.replace("-", "_"), _check_eps(eps)
     seen: list[CircularOrder] = []
     for cand in _candidates(D, eps):
         order = canonicalize(cand)
         if order not in seen:
             seen.append(order)
-    candidates = tuple((o, verify(D, o, eps)) for o in seen)
+    first = np.array(seen[0].seq, dtype=np.intp)
+    scan = _scan_rows(D.values, first, eps)
+    candidates = [(seen[0], _report_from_scan(first, scan))]
+    bip = None
+    if len(seen) == 2:
+        if candidates[0][1].strict_quasi:
+            bip = bipartition_criterion(D, eps)
+        if bip is None:
+            report = verify(D, seen[1], eps)
+        else:
+            second = np.array(seen[1].seq, dtype=np.intp)
+            report = _report_from_scan(second, _scan_with_part_reversed(first, scan, second))
+        candidates.append((seen[1], report))
     kept = sorted(
         (o for o, report in candidates if getattr(report, flag)), key=lambda o: o.seq
     )
-    bip = bipartition_criterion(D, eps) if len(kept) == 2 else None
-    return OrderSet(orders=tuple(kept), bipartition=bip, candidates=candidates)
+    return OrderSet(
+        orders=tuple(kept),
+        bipartition=bip if len(kept) == 2 else None,
+        candidates=tuple(candidates),
+    )
+
+
+def _scan_with_part_reversed(first: np.ndarray, scan: _RowScan, second: np.ndarray) -> _RowScan:
+    """The row scan of the order `second` from that of `first`, given that
+    both pass the strict quasi rule and differ by reversing one part of a
+    threshold split: each point's arc ends are the same points, at their
+    offsets in its read of `second`, the nearer one S."""
+    n = first.size
+    pos = np.empty(n, dtype=np.intp)
+    pos[second] = np.arange(n)
+    at = pos[first]  # where the point at each position of first sits in second
+    idx = np.arange(n)
+    a, b = ((pos[first[(idx + off) % n]] - at) % n for off in (scan.s_off, scan.e_off))
+    S, E = np.empty(n, dtype=np.intp), np.empty(n, dtype=np.intp)
+    S[at], E[at] = np.minimum(a, b), np.maximum(a, b)
+    return _RowScan(S, E, None, None)
 
 
 def bipartition_criterion(
@@ -255,16 +302,20 @@ def bipartition_criterion(
     if N.size < 2 or F.size < 2:
         return None
     # the intra-cluster maximum and the cross-cluster minimum, over bands of
-    # _BAND rows so that no n^2 block is copied
+    # _BAND rows so that no n^2 block is copied; intra only grows and cross
+    # only shrinks, and so does fl(cross - intra), so the first band where
+    # they come within eps rules the split out
     intra, cross = -np.inf, np.inf
     for start in range(0, N.size, _BAND):
         band = v[N[start : start + _BAND]]
         intra = max(intra, band[:, N].max())
         cross = min(cross, band[:, F].min())
+        if cross - intra <= eps:
+            return None
     for start in range(0, F.size, _BAND):
         intra = max(intra, v[F[start : start + _BAND]][:, F].max())
-    if cross - intra <= eps:
-        return None
+        if cross - intra <= eps:
+            return None
     return (
         frozenset(int(p) for p in N),
         frozenset(int(p) for p in F),

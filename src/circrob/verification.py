@@ -23,11 +23,14 @@ iff the suffix minimum of the keys u + S[u mod n] (or u + E) passes it, or
 the prefix maximum of the other keys does: two running extrema, so the
 crossing test is O(n).
 
-verify runs the row scan; is_unimodal, is_strictly_unimodal and
-crossing_violation read their answers off its report.  Each costs at most
-one O(n^2) row scan plus O(n): the scan ends at the first block with a weak
-violation, which already holds both violations the full scan would report,
-and the crossing test then does not run.
+verify runs the row scan, the only one in this module, and builds its
+report from it; is_unimodal, is_strictly_unimodal and crossing_violation
+read their answers off that report.  Each costs at most one O(n^2) row scan
+plus O(n): the scan ends at the first block with a weak violation, which
+already holds both violations the full scan would report, and the crossing
+test then does not run.  compatible_orders takes the same two steps on its
+first candidate, so that it can derive a second candidate's report from
+the scan's arc ends.
 
 The scan reads the rows in blocks of about _BLOCK_BYTES, small enough to
 stay in cache.  A block's rows are gathered once, in position order, over
@@ -348,7 +351,12 @@ def verify(
     pre-circular and circular by arcs.
     """
     order_arr = _check_order(D, order)
-    scan = _scan_rows(D.values, order_arr, _check_eps(eps))
+    return _report_from_scan(order_arr, _scan_rows(D.values, order_arr, _check_eps(eps)))
+
+
+def _report_from_scan(order_arr: np.ndarray, scan: _RowScan) -> ClassificationReport:
+    """verify's report of the order from its row scan: the quasi witnesses
+    of the scan, and the crossing tests in O(n) where the quasi rules pass."""
     found: dict[str, RowWitness | CrossingWitness] = {}
     for strict, viol, quasi_key, circ_key in (
         (False, scan.weak_violation, "quasi", "circular"),

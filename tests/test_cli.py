@@ -10,6 +10,9 @@ from circrob.cli import main
 
 FIXTURE_TEXT = "4\n0 1 2 3\n1 0 3 2\n2 3 0 1\n3 2 1 0\n"
 EQUILATERAL_TEXT = "4\n0 1 1 1\n1 0 1 1\n1 1 0 1\n1 1 1 0\n"
+OCTAGON_TEXT = "8\n" + "".join(
+    " ".join("0" if i == j else "1" for j in range(8)) + "\n" for i in range(8)
+)
 # the oracle's own message, through recognize and oracle alike
 CAP_ERROR = "error: oracle classification is capped at n <= 8, got n=9\n"
 
@@ -73,6 +76,16 @@ class TestRecognize:
 
     def test_missing_file(self):
         assert main(["recognize", "--input", "/nonexistent/x.txt"]) == 2
+
+    def test_tie_warning_one_line(self, tmp_path, capsys):
+        # all distances equal: the construction meets ties, and the warning
+        # is one line, without Python's source location
+        path = tmp_path / "octagon.txt"
+        path.write_text(OCTAGON_TEXT)
+        assert main(["recognize", "--input", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "warning: equal distance keys while ordering points; instance may not be strict\n"
+        )
 
     def test_json_output(self, fixture_file, capsys):
         assert main(["recognize", "--input", fixture_file, "--json"]) == 0
@@ -278,6 +291,12 @@ class TestVerify:
         assert main(["verify", "--input", fixture_file, "--order", order]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: not a permutation") and "Traceback" not in err
+
+    def test_order_not_an_integer(self, fixture_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--input", fixture_file, "--order", "0,1,x,3"])
+        assert exc.value.code == 2
+        assert "error: argument --order: not an integer: 'x'" in capsys.readouterr().err
 
     def test_wrong_length(self, fixture_file, capsys):
         assert main(["verify", "--input", fixture_file, "--order", "0,1,2"]) == 2

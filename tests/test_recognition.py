@@ -280,24 +280,72 @@ class TestCandidateReports:
             for order, report in cands:
                 assert report == verify(space, order)
 
-    def test_recognize_verifies_each_candidate_once(self, space, tmp_path, monkeypatch):
-        import circrob.cli
+    # row scans per recognize: the two-cluster space and the fixture each
+    # have a threshold split, so the second candidate's report is derived
+    # from the first scan; the circle has one candidate
+    SCANS = {"circle": 1, "two-cluster": 1, "perturbed": 2, "fixture": 1}
+
+    def test_recognize_verifies_each_candidate_once(
+        self, space, request, tmp_path, monkeypatch
+    ):
         import circrob.recognition
+        import circrob.verification
         from circrob.cli import _write_matrix, main
+        from circrob.verification import _scan_rows
 
-        calls = []
+        scanned = []
 
-        def counting_verify(*args, **kwargs):
-            calls.append(args[1])
-            return verify(*args, **kwargs)
+        def counting_scan(values, order_arr, eps):
+            scanned.append(order_arr.tolist())
+            return _scan_rows(values, order_arr, eps)
 
         path = tmp_path / "d.txt"
         _write_matrix(space, path)
-        for module in (circrob.cli, circrob.recognition):
-            monkeypatch.setattr(module, "verify", counting_verify)
+        for module in (circrob.recognition, circrob.verification):
+            monkeypatch.setattr(module, "_scan_rows", counting_scan)
         main(["recognize", "--input", str(path), "--json"])
         monkeypatch.undo()
-        assert calls == [o for o, _ in compatible_orders(space).candidates]
+        candidates = [list(o.seq) for o, _ in compatible_orders(space).candidates]
+        assert len(scanned) == self.SCANS[request.node.callspec.params["space"]]
+        assert scanned == candidates[: len(scanned)]
+
+    DERIVED_MINIMUMS = {"derived": 300, "derived_crossing": 30, "strict_first_no_split": 100}
+
+    def test_derived_report_matches_verify(self):
+        # the second candidate's report, derived from the first scan when the
+        # space splits, equals its own verify on shuffled two-cluster spaces
+        # (half of them perturbed) and perturbed circles; the circles give two
+        # candidates without a split, where no report may be derived
+        rng = np.random.default_rng(27027)
+        seen = dict.fromkeys(self.DERIVED_MINIMUMS, 0)
+        drawn = 0
+        while any(seen[k] < m for k, m in self.DERIVED_MINIMUMS.items()):
+            drawn += 1
+            assert drawn <= 600, seen
+            n, kind = int(rng.integers(4, 61)), int(rng.integers(3))
+            seed = int(rng.integers(1 << 30))
+            if kind < 2:
+                k = int(rng.integers(2, n - 1))
+                D = DissimilarityMatrix(1000 * two_cluster_instance(k, n - k, seed=seed).values)
+                if kind == 1:
+                    D = perturb(D, 1.0, seed=seed)
+            else:
+                D = perturb(circle_instance(n, "chord"), 1e-3, seed=seed)
+            perm = rng.permutation(n)
+            D = DissimilarityMatrix(D.values[np.ix_(perm, perm)])
+            for eps in (0.0, 1e-9, 0.02, 0.05):
+                for strictness in ("strict-quasi", "strict-circular"):
+                    cands = compatible_orders(D, strictness, eps).candidates
+                    for order, report in cands:
+                        want = verify(D, order, eps).to_json_dict()
+                        assert report.to_json_dict() == want, (D.values.tolist(), eps)
+                if len(cands) < 2 or not cands[0][1].strict_quasi:
+                    continue
+                if bipartition_criterion(D, eps) is None:
+                    seen["strict_first_no_split"] += 1
+                else:
+                    seen["derived"] += 1
+                    seen["derived_crossing"] += "strict_circular" in cands[1][1].witnesses
 
 
 class TestBipartitionCriterion:

@@ -13,7 +13,12 @@ so the scan stops in its first block and the reports carry row witnesses.
 A fourth row per size reads `two_cluster_instance(n // 2, n - n // 2)` in
 its compatible order with the second cluster mirrored, which is not
 strict-circular: its reports carry crossing witnesses under both circular
-keys, and the script stops if no report of a run holds one.
+keys, and the script stops if no report of a run holds one.  A fifth row
+per size times `compatible_orders` (strict quasi) on the same two-cluster
+space with shuffled labels, the two-order answer whose second candidate
+report the first scan can give; both trees must give the same
+`to_json_dict()` and the same candidates with the same reports, or the
+script stops.
 Rounds alternate which tree runs first; each figure is the best of REPEATS
 rounds.  A banded ``values.max()`` over the same matrix is the one-pass
 reference, so scan/pass says how far the scan is from reading the matrix
@@ -158,6 +163,35 @@ def _row(trees: dict, n: int, labels: str) -> dict:
     }
 
 
+def _orders_row(trees: dict, n: int) -> dict:
+    k = n // 2
+    perm = np.random.default_rng([SEED, n]).permutation(n)
+    values = trees["after"].two_cluster_instance(k, n - k, seed=SEED).values[np.ix_(perm, perm)]
+    D = trees["after"].DissimilarityMatrix._adopt(values)
+    times = {"pass": [], **{t: [] for t in trees}}
+    answers = {}
+    for r in range(REPEATS):
+        _timed(lambda: _one_pass(values), times["pass"])
+        for t in list(trees) if r % 2 == 0 else list(trees)[::-1]:
+            found = _timed(lambda: trees[t].compatible_orders(D), times[t])
+            answers[t] = json.dumps(
+                [found.to_json_dict()]
+                + [[list(o.seq), report.to_json_dict()] for o, report in found.candidates]
+            )
+    if answers["before"] != answers["after"]:
+        sys.exit(f"trees disagree on compatible_orders at n={n}, shuffled two-cluster labels")
+    best = {key: min(v) for key, v in times.items()}
+    return {
+        "n": n,
+        "labels": "two-cluster-shuffled",
+        "pass_s": round(best["pass"], 6),
+        "compatible_orders_s": {t: round(best[t], 5) for t in trees},
+        "compatible_orders_over_pass": {t: round(best[t] / best["pass"], 2) for t in trees},
+        "compatible_orders_speedup": round(best["before"] / best["after"], 2),
+        "orders": len(json.loads(answers["after"])[0]["orders"]),
+    }
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--before", type=Path, required=True, help="src dir of the old tree")
@@ -177,11 +211,13 @@ def main() -> None:
         for labels in ("shuffled", "identity", "perturbed", "two-cluster"):
             rows.append(_row(trees, n, labels))
             print(json.dumps(rows[-1]), flush=True)
+        rows.append(_orders_row(trees, n))
+        print(json.dumps(rows[-1]), flush=True)
     if not any(row["crossing_witness"] for row in rows):
         sys.exit("no report held a crossing witness, so their agreement went unchecked")
     record = {
         "what": "in-process row scan and verify of chord circles and two clusters,"
-        " before and after",
+        " and compatible_orders of shuffled two clusters, before and after",
         "method": f"interleaved rounds, best of {REPEATS}; pass = banded values.max()",
         "seed": SEED,
         "eps": EPS,
